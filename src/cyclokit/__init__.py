@@ -6,212 +6,30 @@ the conjugation exponent and minimal polynomial of such a root, classifies
 the extensions by prime sets and moduli presentations, and embeds them into
 the field's quadratic-extension classes — with every formula cross-checked
 against an independent brute-force oracle.
+
+The public API is the union of the submodules' ``__all__`` lists.
 """
 
-from .automorphisms import (
-    FixingSubgroup,
-    UnitGroup,
-    fixing_subgroup,
-    galois_image,
-    unit_group,
-)
-from .errors import PreconditionError, SizeBoundError
-from .field_profile import (
-    ExtendedNat,
-    FieldProfile,
-    Sign,
-    contains_root,
-    cos_sum_in_field,
-    ell,
-    finite_field,
-    frobenius_exponent,
-    n_F,
-    order_of_zeta,
-    parse_field,
-    rational,
-    render_field,
-)
-from .moduli import (
-    ArtinSchreierClass,
-    FiniteSquareClass,
-    ModuliClass,
-    ModuliDescription,
-    RationalSquareClass,
-    SMaxClass,
-    SMaxPartition,
-    chi_as,
-    chi_rad,
-    field_equal,
-    full_moduli,
-    g2,
-    g2_membership,
-    g2_star,
-    inseparable_orbit_related,
-    m2_membership,
-    m2p,
-    quad_moduli_summary,
-    s_max,
-    s_n,
-)
-from .numtheory import (
-    ResidueClass,
-    crt,
-    eps,
-    euler_phi,
-    factorize,
-    is_prime,
-    mod_inverse,
-    mult_order,
-    pfree_quotient,
-    squarefree_kernel,
-    waring_power_sum,
-)
-from .quadcyclo import (
-    BRANCH_MINUS,
-    BRANCH_PLUS,
-    BRANCH_TWO_TIMES,
-    CASE_ODD,
-    CASE_RADICAL,
-    CASE_TWO_HIGH_MINUS,
-    CASE_TWO_HIGH_PLUS,
-    CASE_TWO_LOW,
-    ArtinSchreierGenerator,
-    KappaClass,
-    QuadMinPoly,
-    RadicalGenerator,
-    TraceShape,
-    artin_schreier_generator,
-    has_property_C2,
-    is_order_two,
-    is_quadratic,
-    kappa_class,
-    min_poly,
-    nu,
-    nu_plus,
-    radical_generator,
-    t_nF,
-    yogh,
-)
-from .roots import (
-    Difference,
-    InternalProduct,
-    Mu,
-    MuSubset,
-    PrimSet,
-    RootOfUnity,
-    RootSum,
-    Union,
-    as_fraction,
-    canonical,
-    cardinality,
-    contains,
-    describe,
-    identity,
-    inverse,
-    multiply,
-    parse_root,
-    power,
-    primitive_order,
-    render_root,
-)
+from . import automorphisms, errors, field_profile, moduli, numtheory, quadcyclo, roots
+from .automorphisms import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .field_profile import *  # noqa: F401,F403
+from .moduli import *  # noqa: F401,F403
+from .numtheory import *  # noqa: F401,F403
+from .quadcyclo import *  # noqa: F401,F403
+from .roots import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArtinSchreierClass",
-    "ArtinSchreierGenerator",
-    "BRANCH_MINUS",
-    "BRANCH_PLUS",
-    "BRANCH_TWO_TIMES",
-    "CASE_ODD",
-    "CASE_RADICAL",
-    "CASE_TWO_HIGH_MINUS",
-    "CASE_TWO_HIGH_PLUS",
-    "CASE_TWO_LOW",
-    "Difference",
-    "ExtendedNat",
-    "FieldProfile",
-    "FiniteSquareClass",
-    "FixingSubgroup",
-    "InternalProduct",
-    "KappaClass",
-    "ModuliClass",
-    "ModuliDescription",
-    "Mu",
-    "MuSubset",
-    "PreconditionError",
-    "PrimSet",
-    "QuadMinPoly",
-    "RadicalGenerator",
-    "RationalSquareClass",
-    "ResidueClass",
-    "RootOfUnity",
-    "RootSum",
-    "SMaxClass",
-    "SMaxPartition",
-    "Sign",
-    "SizeBoundError",
-    "TraceShape",
-    "Union",
-    "UnitGroup",
-    "__version__",
-    "artin_schreier_generator",
-    "as_fraction",
-    "canonical",
-    "cardinality",
-    "chi_as",
-    "chi_rad",
-    "contains",
-    "contains_root",
-    "cos_sum_in_field",
-    "crt",
-    "describe",
-    "ell",
-    "eps",
-    "euler_phi",
-    "factorize",
-    "field_equal",
-    "finite_field",
-    "fixing_subgroup",
-    "frobenius_exponent",
-    "full_moduli",
-    "g2",
-    "g2_membership",
-    "g2_star",
-    "galois_image",
-    "has_property_C2",
-    "identity",
-    "inseparable_orbit_related",
-    "inverse",
-    "is_order_two",
-    "is_prime",
-    "is_quadratic",
-    "kappa_class",
-    "m2_membership",
-    "m2p",
-    "min_poly",
-    "mod_inverse",
-    "mult_order",
-    "multiply",
-    "n_F",
-    "nu",
-    "nu_plus",
-    "order_of_zeta",
-    "parse_field",
-    "parse_root",
-    "pfree_quotient",
-    "power",
-    "primitive_order",
-    "quad_moduli_summary",
-    "radical_generator",
-    "rational",
-    "render_field",
-    "render_root",
-    "s_max",
-    "s_n",
-    "squarefree_kernel",
-    "t_nF",
-    "unit_group",
-    "waring_power_sum",
-    "yogh",
-]
+__all__ = sorted(
+    [
+        "__version__",
+        *automorphisms.__all__,
+        *errors.__all__,
+        *field_profile.__all__,
+        *moduli.__all__,
+        *numtheory.__all__,
+        *quadcyclo.__all__,
+        *roots.__all__,
+    ]
+)

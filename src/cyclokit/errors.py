@@ -7,6 +7,8 @@ Both derive from ValueError so generic callers may catch either uniformly.
 
 from __future__ import annotations
 
+__all__ = ["PreconditionError", "SizeBoundError"]
+
 
 class PreconditionError(ValueError):
     """A documented mathematical precondition was violated.

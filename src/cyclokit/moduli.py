@@ -14,24 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import PreconditionError
-from .field_profile import (
-    FieldProfile,
-    Sign,
-    contains_root,
-    cos_sum_in_field,
-    ell,
-    order_of_zeta,
-)
+from .errors import PreconditionError, SizeBoundError
+from .field_profile import FieldProfile, contains_root, ell, order_of_zeta
 from .numtheory import eps, factorize, pfree_quotient, squarefree_kernel
-from .oracle import (
-    ExplicitField,
-    FFElement,
-    build_field,
-    evaluate_sum,
-    evaluate_sum_rational,
+from .oracle import MAX_FIELD_SIZE, ExplicitField, FFElement
+from .quadcyclo import (
+    artin_schreier_generator,
+    is_quadratic,
+    kappa_class,
+    min_poly,
+    nu,
+    radical_generator,
 )
-from .quadcyclo import is_quadratic, kappa_class, min_poly, nu, yogh
 from .roots import (
     Difference,
     InternalProduct,
@@ -39,12 +33,10 @@ from .roots import (
     MuSubset,
     PrimSet,
     RootOfUnity,
-    RootSum,
     Union,
     canonical,
     describe,
     multiply,
-    power,
 )
 
 __all__ = [
@@ -355,21 +347,16 @@ def full_moduli(field: FieldProfile) -> ModuliDescription:
 
     Over F_q this is Mu(q^2-1) - Mu(q-1) with the single class F_(q^2);
     over the rationals, the six primitive roots of orders 3, 4, and 6 in
-    two classes.
+    two classes.  The classes are those of :func:`s_max`.
     """
+    classes = tuple(
+        ModuliClass(cls.primes, cls.representative_n, cls.minpoly)
+        for cls in s_max(field).classes
+    )
     if field.is_rational:
         presentation = Union((PrimSet(3), PrimSet(4), PrimSet(6)))
-        classes = tuple(
-            _class_for(field, cls.primes, cls.representative_n)
-            for cls in s_max(field).classes
-        )
         return ModuliDescription(KIND_GLOBAL, presentation, 6, classes)
     q = field.q
-    partition = s_max(field)
-    classes = tuple(
-        _class_for(field, cls.primes, cls.representative_n)
-        for cls in partition.classes
-    )
     return ModuliDescription(
         KIND_GLOBAL,
         Difference(Mu(q * q - 1), Mu(q - 1)),
@@ -449,15 +436,6 @@ class ArtinSchreierClass:
         }
 
 
-def _radical_square_sum(field: FieldProfile, n: int) -> RootSum:
-    """The square (z - z^yogh)^2 of the radical generator, as a formal sum."""
-    k = yogh(field, n).value
-    z = canonical(n, 1)
-    return RootSum.from_terms(
-        [(1, power(z, 2)), (1, power(z, 2 * k)), (-2, power(z, k + 1))]
-    )
-
-
 def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareClass:
     """The square class of the radical generator's square (char != 2).
 
@@ -467,22 +445,21 @@ def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareCl
     """
     if field.characteristic == 2:
         raise PreconditionError("square classes require characteristic != 2")
-    if not is_quadratic(field, n):
-        raise PreconditionError(f"extension by the {n}-th root is not quadratic")
-    square = _radical_square_sum(field, n)
+    value = radical_generator(field, n).square_value
     if field.is_rational:
-        value = evaluate_sum_rational(square)
         if value.denominator != 1:
             raise ArithmeticError(f"non-integral radical square {value}")
         return RationalSquareClass(squarefree_kernel(int(value)))
-    ext = build_field(field.p, 2 * field.k)
-    v = evaluate_sum(ext, square)
-    if v.is_zero:
+    if value is None:
+        raise SizeBoundError(
+            f"quadratic extension size {field.q}^2 exceeds the bound {MAX_FIELD_SIZE}"
+        )
+    if value.is_zero:
         raise ArithmeticError("radical generator squared to zero")
-    if v**field.q != v:
+    if value**field.q != value:
         raise ArithmeticError("radical square escaped the base field")
-    is_residue = v ** ((field.q - 1) // 2) == ext.one
-    return FiniteSquareClass(v.to_int(), is_residue)
+    is_residue = value ** ((field.q - 1) // 2) == value.field.one
+    return FiniteSquareClass(value.to_int(), is_residue)
 
 
 def chi_as(field: FieldProfile, n: int) -> ArtinSchreierClass:
@@ -493,18 +470,10 @@ def chi_as(field: FieldProfile, n: int) -> ArtinSchreierClass:
     """
     if field.characteristic != 2:
         raise PreconditionError("Artin-Schreier classes require characteristic 2")
-    if not is_quadratic(field, n):
-        raise PreconditionError(f"extension by the {n}-th root is not quadratic")
-    k = yogh(field, n).value
-    z = canonical(n, 1)
-    ext = build_field(2, 2 * field.k)
-    trace_val = evaluate_sum(ext, RootSum.of(z, power(z, k)))
-    norm_val = evaluate_sum(ext, RootSum.of(power(z, k + 1)))
-    if trace_val.is_zero:
-        raise ArithmeticError("zero trace in a separable quadratic extension")
-    a = norm_val / (trace_val * trace_val)
+    a = artin_schreier_generator(field, n).constant
     if a**field.q != a:
         raise ArithmeticError("Artin-Schreier constant escaped the base field")
+    ext = a.field
     trace = ext.zero
     for i in range(field.k):
         trace = trace + a ** (2**i)

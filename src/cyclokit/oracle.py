@@ -1,11 +1,15 @@
 """Independent brute-force layer: explicit finite fields and exact cyclotomic
 arithmetic over the rationals.
 
-This module deliberately shares no code with the formula-based classification
-modules: orders are found by exhaustive scan, minimal polynomials by applying
-the q-power map, and rational minimal polynomials by expanding products in an
-explicit quotient ring.  The test suite and the ``verify`` CLI command compare
-the two layers; agreement is the point.
+This module uses none of the formula-based classification modules: orders
+are found by exhaustive scan, minimal polynomials by applying the q-power
+map, and rational minimal polynomials by expanding products in an explicit
+quotient ring.  It does import plain integer helpers from ``numtheory``
+(``factorize`` for the Rabin irreducibility test and the generator search,
+``euler_phi`` for the rational degree check, ``is_prime`` for argument
+checks) and the exponent-class types ``RootOfUnity`` and ``RootSum`` from
+``roots``, which :func:`evaluate_sum` realizes.  The test suite and the
+``verify`` CLI command compare the two layers; agreement is the point.
 
 Determinism: a field is always built on the lexicographically smallest monic
 irreducible modulus (scanning ascending integer encodings of the coefficient

@@ -15,9 +15,8 @@ Central objects, for a base field F and a primitive n-th root of unity z
   order-2 root, decided by which cosine-like sum lies in F), and the Chinese
   remainder theorem glues the components into the unique exponent mod n;
 * ``min_poly`` — x^2 - (z + z^yogh) x + z^(yogh+1) with symbolic coefficients
-  (formal sums of roots of unity), a case tag, a structured display shape,
-  and, over finite fields, concrete coefficient values under the oracle
-  embedding;
+  (formal sums of roots of unity), a case tag, and a structured display
+  shape;
 * radical and Artin-Schreier generators for the extension;
 * ``t_nF``, property-C2 detection, the nu exponents, and ``kappa_class``,
   the per-element classification datum whose vanishing cuts out exactly the
@@ -51,6 +50,14 @@ from .oracle import (
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
 
 __all__ = [
+    "BRANCH_MINUS",
+    "BRANCH_PLUS",
+    "BRANCH_TWO_TIMES",
+    "CASE_ODD",
+    "CASE_RADICAL",
+    "CASE_TWO_HIGH_MINUS",
+    "CASE_TWO_HIGH_PLUS",
+    "CASE_TWO_LOW",
     "ArtinSchreierGenerator",
     "KappaClass",
     "QuadMinPoly",
@@ -58,7 +65,6 @@ __all__ = [
     "TraceShape",
     "artin_schreier_generator",
     "has_property_C2",
-    "is_order_two",
     "is_quadratic",
     "kappa_class",
     "min_poly",
@@ -231,9 +237,7 @@ class QuadMinPoly:
     ``trace_coeff`` is the formal sum z + z^yogh and ``norm_coeff`` the formal
     single term z^(yogh+1), both for the canonical exponent class z = 1/n.
     ``shape`` carries the per-case display form (None in the radical case,
-    where the trace vanishes); ``concrete`` holds the (trace, norm) values in
-    an explicit quadratic extension when the field is finite and small enough
-    to build.
+    where the trace vanishes).
     """
 
     n: int
@@ -242,24 +246,18 @@ class QuadMinPoly:
     trace_coeff: RootSum
     norm_coeff: RootSum
     shape: TraceShape | None
-    concrete: tuple[FFElement, FFElement] | None
 
     def render(self) -> str:
         return f"x^2 - ({self.trace_coeff})*x + ({self.norm_coeff})"
 
     def to_json(self) -> dict:
-        doc: dict = {
+        return {
             "n": self.n,
             "case": self.case_tag,
             "yogh": self.yogh.value,
             "trace_symbolic": str(self.trace_coeff),
             "norm_symbolic": str(self.norm_coeff),
         }
-        if self.concrete is not None:
-            trace, norm = self.concrete
-            doc["trace_concrete"] = trace.value_repr()
-            doc["norm_concrete"] = norm.value_repr()
-        return doc
 
 
 _SHAPES = {
@@ -273,9 +271,8 @@ _SHAPES = {
 def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     """The minimal polynomial data of the primitive n-th root (degree 2).
 
-    Symbolic coefficients come from the conjugation exponent; over a finite
-    field small enough for the explicit oracle embedding (q^2 within the
-    size bound) the concrete coefficient values are attached as well.
+    The coefficients are formal sums built from the conjugation exponent; no
+    field is constructed.
     """
     k = yogh(field, n)
     tag = _case_tag(field, n)
@@ -287,11 +284,7 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
         unit_mult, cos_mult, sign, norm_sign = _SHAPES[tag]
         o = order_of_zeta(field, n)
         shape = TraceShape(unit_mult * n_F(field, n), cos_mult * o, sign, norm_sign)
-    concrete: tuple[FFElement, FFElement] | None = None
-    if not field.is_rational and field.q**2 <= MAX_FIELD_SIZE:
-        ext = build_field(field.p, 2 * field.k)
-        concrete = (evaluate_sum(ext, trace), evaluate_sum(ext, norm))
-    return QuadMinPoly(n, tag, k, trace, norm, shape, concrete)
+    return QuadMinPoly(n, tag, k, trace, norm, shape)
 
 
 @dataclass(frozen=True)
@@ -359,11 +352,6 @@ def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenera
     element = evaluate_sum(ext, RootSum.of(z)) / trace_val
     constant = evaluate_sum(ext, norm) / (trace_val * trace_val)
     return ArtinSchreierGenerator(z, trace, element, constant)
-
-
-def is_order_two(field: FieldProfile, n: int) -> bool:
-    """Whether the n-th root has order exactly 2 in K*/F* (radical case)."""
-    return order_of_zeta(field, n) == 2
 
 
 def has_property_C2(field: FieldProfile) -> int | None:

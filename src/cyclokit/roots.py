@@ -40,11 +40,11 @@ __all__ = [
     "RootOfUnity",
     "RootSum",
     "Union",
+    "as_fraction",
     "canonical",
     "cardinality",
     "contains",
     "describe",
-    "enumerate",
     "identity",
     "inverse",
     "multiply",

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from click.testing import CliRunner
 
 import cyclokit
 import cyclokit.oracle as oracle_mod
+import cyclokit.quadcyclo as quadcyclo_mod
 from cyclokit.cli import main
+from cyclokit.numtheory import ResidueClass
 
 
 @pytest.fixture()
@@ -123,6 +126,22 @@ def test_analyze_exits_one_on_oracle_mismatch(runner, monkeypatch):
     assert payload["mismatches"] == [{"n": 16, "check": "min_poly_concrete"}]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--field", "Q", "--n", "99999999999999999999"],
+        ["moduli", "--field", "q:2^100"],
+        ["classify", "--field", "q:4294967291"],
+    ],
+)
+def test_inputs_beyond_factorization_bound_exit_four(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert "out of range" in result.stderr
+    assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # moduli
 # ---------------------------------------------------------------------------
@@ -204,6 +223,49 @@ def test_verify_medium_field_clean(runner):
     assert payload["mismatches"] == []
 
 
+def test_verify_quadratic_check_uses_the_oracle_order(runner, monkeypatch):
+    # An oracle that finds zeta_8 already in F_5 contradicts the formula's
+    # "quadratic" verdict for n = 8.
+    real = oracle_mod.brute_order
+    monkeypatch.setattr(
+        oracle_mod, "brute_order", lambda p, k, n: 1 if n == 8 else real(p, k, n)
+    )
+    result = runner.invoke(main, ["verify", "--field", "q:5"])
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert {"n": 8, "check": "quadratic", "formula": True, "oracle": False,
+            "equaliser": True} in payload["mismatches"]
+
+
+@pytest.fixture
+def broken_min_poly_16(monkeypatch):
+    # Over F_23 the formula gives yogh(16) = 23 mod 16 = 7; report 15 instead,
+    # and let the oracle return the coefficients swapped.
+    real_poly, real_brute = quadcyclo_mod.min_poly, oracle_mod.brute_min_poly
+
+    def fake_poly(field, n):
+        poly = real_poly(field, n)
+        return replace(poly, yogh=ResidueClass(15, 16)) if n == 16 else poly
+
+    def fake_brute(p, k, n):
+        trace, norm = real_brute(p, k, n)
+        return (norm, trace) if n == 16 else (trace, norm)
+
+    monkeypatch.setattr(quadcyclo_mod, "min_poly", fake_poly)
+    monkeypatch.setattr(oracle_mod, "brute_min_poly", fake_brute)
+    return [{"n": 16, "check": "yogh_frobenius", "formula": 15, "oracle": 7},
+            {"n": 16, "check": "min_poly_concrete"}]
+
+
+@pytest.mark.parametrize("args", [["verify", "--field", "q:23"],
+                                  ["analyze", "--field", "q:23", "--n", "16"]])
+def test_min_poly_mismatch_records(runner, broken_min_poly_16, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["mismatches"] == broken_min_poly_16
+
+
 def test_verify_rejects_rational_field(runner):
     result = runner.invoke(main, ["verify", "--field", "Q"])
     assert result.exit_code == 3
@@ -222,6 +284,17 @@ def test_verify_size_bound_env_override(runner):
     )
     assert result.exit_code == 4
     assert "exceeds CYCLOKIT_MAX_Q=16" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_max_q_is_a_usage_error(runner, value):
+    result = runner.invoke(
+        main, ["verify", "--field", "q:5"], env={"CYCLOKIT_MAX_Q": value}
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "CYCLOKIT_MAX_Q" in result.stderr
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from cyclokit import (
     Mu,
     PreconditionError,
     RationalSquareClass,
+    SizeBoundError,
     canonical,
     cardinality,
     chi_as,
@@ -372,6 +373,19 @@ def test_m2_membership_over_rationals_matches_degree():
         assert m2_membership(Q, z) == is_quadratic(Q, n)
 
 
+def test_moduli_render_min_poly_without_building_fields():
+    # Only the rendered minimal polynomials reach the moduli descriptions, so
+    # no explicit field is built.  F_16 uses 17 (a prime dividing q + 1) for
+    # its per-prime moduli, since 2 is its characteristic.
+    for field, prime in ((finite_field(1021), 2), (finite_field(2, 4), 17)):
+        build_field.cache_clear()
+        assert s_max(field).classes
+        assert full_moduli(field).classes
+        g2(field)
+        assert m2p(field, prime).classes
+        assert build_field.cache_info().misses == 0
+
+
 # ---------------------------------------------------------------------------
 # chi_rad / chi_as: embeddings into the quadratic-extension classes
 # ---------------------------------------------------------------------------
@@ -412,6 +426,12 @@ def test_chi_rad_square_class_is_the_generator_square():
         cls = chi_rad(Q, n)
         num = gen.square_value.numerator * gen.square_value.denominator
         assert cls == RationalSquareClass(squarefree_kernel(num))
+
+
+def test_chi_rad_refuses_fields_beyond_the_oracle_bound():
+    # 1031^2 exceeds the explicit-field bound, so the square has no value.
+    with pytest.raises(SizeBoundError):
+        chi_rad(finite_field(1031), 8)
 
 
 def test_chi_rad_rejects_char_two_and_non_quadratic():

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclokit import (
+    MAX_FACTOR_INPUT,
     ResidueClass,
+    SizeBoundError,
     crt,
     eps,
     euler_phi,
@@ -45,6 +47,13 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(-6)
+
+
+def test_factorize_refuses_inputs_above_the_bound_as_size_errors():
+    assert factorize(MAX_FACTOR_INPUT) == [(7, 2), (73, 1), (127, 1), (337, 1),
+                                           (92737, 1), (649657, 1)]
+    with pytest.raises(SizeBoundError):
+        factorize(MAX_FACTOR_INPUT + 1)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

@@ -32,8 +32,8 @@ from cyclokit import (
     eps,
     factorize,
     finite_field,
+    g2_membership,
     has_property_C2,
-    is_order_two,
     is_quadratic,
     kappa_class,
     min_poly,
@@ -225,10 +225,13 @@ def test_min_poly_trace_is_conjugate_pair_sum():
 
 
 def test_min_poly_concrete_matches_oracle():
+    # The symbolic coefficients, realized in the oracle's F_(q^2), are the
+    # trace and norm the oracle finds with the q-power map.
     for field, q, n in quadratic_cases(31):
         mp = min_poly(field, n)
-        assert mp.concrete is not None
-        assert mp.concrete == brute_min_poly(field.p, field.k, n)
+        ext = build_field(field.p, 2 * field.k)
+        concrete = (evaluate_sum(ext, mp.trace_coeff), evaluate_sum(ext, mp.norm_coeff))
+        assert concrete == brute_min_poly(field.p, field.k, n)
 
 
 def test_min_poly_trace_shape_expands_to_the_polynomial():
@@ -351,14 +354,14 @@ def test_artin_schreier_generator_rejects_odd_characteristic():
 
 
 # ---------------------------------------------------------------------------
-# is_order_two / property C2 / nu
+# order 2 / property C2 / nu
 # ---------------------------------------------------------------------------
 
 
 def test_is_order_two_frozen_values():
-    assert is_order_two(F5, 8) is True
-    assert is_order_two(F23, 16) is False
-    assert is_order_two(F5, 24) is False
+    assert g2_membership(F5, canonical(8, 1)) is True
+    assert g2_membership(F23, canonical(16, 1)) is False
+    assert g2_membership(F5, canonical(24, 1)) is False
 
 
 def test_is_order_two_structure_conditions():
@@ -367,7 +370,7 @@ def test_is_order_two_structure_conditions():
     for p, k, q in prime_powers(49):
         field = finite_field(p, k)
         for n in divisors(q * q - 1):
-            got = is_order_two(field, n)
+            got = g2_membership(field, canonical(n, 1))
             two_part = 2 ** eps(n, 2)
             odd_part = n // two_part
             want = (

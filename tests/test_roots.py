@@ -12,6 +12,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclokit
 from cyclokit import (
     Difference,
     InternalProduct,
@@ -285,3 +286,13 @@ def test_root_sum_mul_root_shifts_each_term():
     want = RootSum.of(canonical(8, 3)) - RootSum.of(canonical(8, 5))
     assert shifted == want
     assert s.lcm_order() == 8
+
+
+def test_package_all_resolves_without_shadowing_enumerate():
+    for name in cyclokit.__all__:
+        assert hasattr(cyclokit, name), name
+    assert "enumerate" not in cyclokit.__all__
+    namespace: dict = {}
+    exec("from cyclokit import *", namespace)
+    assert "enumerate" not in namespace
+    assert enumerate_subset(Mu(2)) == [identity, canonical(2, 1)]
