@@ -92,6 +92,8 @@ def _emit(report: Report) -> None:
 def _parse_field_arg(spec: str) -> FieldProfile:
     try:
         return parse_field(spec)
+    except SizeBoundError:
+        raise
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -117,7 +119,7 @@ def _oracle_refusal(field: FieldProfile) -> str | None:
     """Why the brute-force oracle may not check this finite field, or None."""
     max_q = _max_q()
     if field.q > max_q:
-        return f"field size {field.q} exceeds CYCLOKIT_MAX_Q={max_q}"
+        return f"field {render_field(field)} exceeds CYCLOKIT_MAX_Q={max_q}"
     if field.q**2 > oracle.MAX_FIELD_SIZE:
         return f"quadratic extension size {field.q}^2 exceeds {oracle.MAX_FIELD_SIZE}"
     return None
@@ -188,15 +190,17 @@ def _kappa_json(field: FieldProfile, n: int) -> dict:
 def _generator_json(field: FieldProfile, n: int) -> dict:
     if field.characteristic == 2:
         gen = quadcyclo.artin_schreier_generator(field, n)
-        return {
+        doc: dict = {
             "type": "artin-schreier",
             "numerator": str(gen.numerator),
             "denominator": str(gen.denominator),
-            "element_encoding": gen.element.to_int(),
-            "constant_encoding": gen.constant.to_int(),
         }
+        if gen.element is not None:
+            doc["element_encoding"] = gen.element.to_int()
+            doc["constant_encoding"] = gen.constant.to_int()
+        return doc
     gen = quadcyclo.radical_generator(field, n)
-    doc: dict = {
+    doc = {
         "type": "radical",
         "expression": str(gen.expression),
         "square": str(gen.square),

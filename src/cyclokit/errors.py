@@ -1,7 +1,7 @@
 """Exception types shared across the library.
 
 Two error families matter to callers (and to the CLI's exit codes):
-mathematical precondition violations, and oracle size-bound violations.
+mathematical precondition violations, and size-bound violations.
 Both derive from ValueError so generic callers may catch either uniformly.
 """
 
@@ -19,4 +19,5 @@ class PreconditionError(ValueError):
 
 
 class SizeBoundError(ValueError):
-    """An explicit-field construction exceeds the configured size bound."""
+    """An input exceeds a documented size bound: a field too large to
+    describe, an explicit-field construction, or a factorization input."""

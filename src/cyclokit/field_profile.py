@@ -23,13 +23,14 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeBoundError
 from .numtheory import ResidueClass, eps, is_prime
 from .roots import RootOfUnity
 
 __all__ = [
     "ExtendedNat",
     "FieldProfile",
+    "MAX_FIELD_BITS",
     "RATIONAL",
     "Sign",
     "contains_root",
@@ -119,6 +120,12 @@ class FieldProfile:
 RATIONAL = FieldProfile()
 
 
+#: Ceiling on k * bit_length(p) for F_(p^k), which bounds the bit length of
+#: q = p^k before it is computed.  Every command's arithmetic on q then stays
+#: within interactive time.
+MAX_FIELD_BITS = 1 << 16
+
+
 def rational() -> FieldProfile:
     """The rational-field profile."""
     return RATIONAL
@@ -130,6 +137,10 @@ def finite_field(p: int, k: int = 1) -> FieldProfile:
         raise ValueError(f"characteristic must be prime, got {p}")
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
+    if k * p.bit_length() > MAX_FIELD_BITS:
+        raise SizeBoundError(
+            f"field size {p}^{k} exceeds the bound of {MAX_FIELD_BITS} bits"
+        )
     return FieldProfile(p, k)
 
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import PreconditionError, SizeBoundError
-from .field_profile import FieldProfile, contains_root, ell, order_of_zeta
+from .field_profile import (
+    FieldProfile,
+    contains_root,
+    ell,
+    order_of_zeta,
+    render_field,
+)
 from .numtheory import eps, factorize, pfree_quotient, squarefree_kernel
 from .oracle import MAX_FIELD_SIZE, ExplicitField, FFElement
 from .quadcyclo import (
@@ -436,6 +442,12 @@ class ArtinSchreierClass:
         }
 
 
+def _beyond_oracle_bound(field: FieldProfile) -> SizeBoundError:
+    return SizeBoundError(
+        f"quadratic extension of {render_field(field)} exceeds the bound {MAX_FIELD_SIZE}"
+    )
+
+
 def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareClass:
     """The square class of the radical generator's square (char != 2).
 
@@ -451,9 +463,7 @@ def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareCl
             raise ArithmeticError(f"non-integral radical square {value}")
         return RationalSquareClass(squarefree_kernel(int(value)))
     if value is None:
-        raise SizeBoundError(
-            f"quadratic extension size {field.q}^2 exceeds the bound {MAX_FIELD_SIZE}"
-        )
+        raise _beyond_oracle_bound(field)
     if value.is_zero:
         raise ArithmeticError("radical generator squared to zero")
     if value**field.q != value:
@@ -471,6 +481,8 @@ def chi_as(field: FieldProfile, n: int) -> ArtinSchreierClass:
     if field.characteristic != 2:
         raise PreconditionError("Artin-Schreier classes require characteristic 2")
     a = artin_schreier_generator(field, n).constant
+    if a is None:
+        raise _beyond_oracle_bound(field)
     if a**field.q != a:
         raise ArithmeticError("Artin-Schreier constant escaped the base field")
     ext = a.field

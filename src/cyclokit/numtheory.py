@@ -110,7 +110,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"factorize input out of range: {n}")
     if n > MAX_FACTOR_INPUT:
-        raise SizeBoundError(f"factorize input out of range: {n}")
+        raise SizeBoundError(
+            f"factorize input out of range: {n.bit_length()} bits,"
+            f" above {MAX_FACTOR_INPUT}"
+        )
     factors: dict[int, int] = {}
     rest = n
     for d in range(2, _TRIAL_BOUND + 1):

@@ -11,11 +11,21 @@ checks) and the exponent-class types ``RootOfUnity`` and ``RootSum`` from
 ``roots``, which :func:`evaluate_sum` realizes.  The test suite and the
 ``verify`` CLI command compare the two layers; agreement is the point.
 
+The q-power test ("is w fixed by x -> x^q?") never raises w to the q-th
+power.  x -> x^q is F_p-linear on coordinates, so each field memoises its
+matrix once: the columns are the images of the basis 1, x, ..., x^(K-1),
+computed with the field's own multiplication, and a test is one
+matrix-vector product.  The scans then step by one multiplication per
+candidate.  No exponent or discrete-logarithm arithmetic enters, which
+would be the formula layer's own reasoning.
+
 Determinism: a field is always built on the lexicographically smallest monic
 irreducible modulus (scanning ascending integer encodings of the coefficient
 vector) and uses the smallest generator of the multiplicative group under the
-same encoding.  Fixing these choices fixes one concrete realization of every
-root of unity, so symbolic results have a well-defined concrete value:
+same encoding.  The generator search of a proper extension starts past the
+prime-field constants, whose orders divide p - 1, so it finds the same
+element.  Fixing these choices fixes one concrete realization of every root
+of unity, so symbolic results have a well-defined concrete value:
 ``embed_root`` sends the exponent class j/n to g**((q-1)//n * j) where g is
 the chosen generator — a coherent system of primitive roots.
 """
@@ -25,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import PreconditionError, SizeBoundError
 from .numtheory import euler_phi, factorize, is_prime
@@ -63,20 +74,23 @@ def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    if not a or not b:
+        return ()
+    # Coefficients are reduced mod p only where a leading term is cancelled
+    # and once at the end.
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] += ai * bj
     # reduce modulo the monic polynomial `mod`
     deg = len(mod) - 1
     for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
+        c = prod[i] % p
         if c:
-            prod[i] = 0
             for j in range(deg):
-                prod[i - deg + j] = (prod[i - deg + j] - c * mod[j]) % p
-    return _poly_trim(prod[:deg] if len(prod) > deg else prod)
+                prod[i - deg + j] -= c * mod[j]
+    return _poly_trim([c % p for c in prod[:deg]])
 
 
 def _poly_powmod(base: tuple[int, ...], e: int, mod: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -287,7 +301,9 @@ class ExplicitField:
 
     def _find_generator(self) -> FFElement:
         order_primes = [r for r, _ in factorize(self.q - 1)] if self.q > 2 else []
-        for code in range(1, self.q):
+        # Codes below p are prime-field constants: none generates a proper
+        # extension's group.
+        for code in range(self.p if self.k > 1 else 1, self.q):
             g = self.from_encoding(code)
             if all(g ** ((self.q - 1) // r) != self.one for r in order_primes):
                 return g
@@ -324,8 +340,9 @@ def build_field(p: int, k: int) -> ExplicitField:
     raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover
 
 
+@lru_cache(maxsize=None)
 def find_root_of_unity(E: ExplicitField, n: int) -> FFElement:
-    """The deterministic primitive n-th root of unity: g^((q-1)/n)."""
+    """The deterministic primitive n-th root of unity: g^((q-1)/n), memoised."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if (E.q - 1) % n != 0:
@@ -347,19 +364,44 @@ def evaluate_sum(E: ExplicitField, s: RootSum) -> FFElement:
     return total
 
 
+@lru_cache(maxsize=None)
+def _frobenius_matrix(E: ExplicitField, q: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix of the F_p-linear map x -> x^q on E, as a tuple of rows.
+
+    The map is F_p-linear only when q is a power of the characteristic p,
+    which every caller passes.  Column j is the image of the basis element x^j, namely (x^q)^j, built by
+    repeated multiplication from one q-th power of x.
+    """
+    xq = E.from_encoding(E.p) ** q if E.k > 1 else E.one
+    columns = [E.one]
+    for _ in range(1, E.k):
+        columns.append(columns[-1] * xq)
+    return tuple(zip(*(c.coeffs for c in columns)))
+
+
+def _frobenius(w: FFElement, q: int) -> FFElement:
+    """w^q, as the memoised matrix of x -> x^q applied to w's coordinates."""
+    E = w.field
+    p, coeffs = E.p, w.coeffs
+    return FFElement(
+        E, tuple(sum(map(mul, row, coeffs)) % p for row in _frobenius_matrix(E, q))
+    )
+
+
 def brute_order(p: int, k: int, n: int) -> int:
     """Order of the n-th root over F_(p^k) by scan in the quadratic extension.
 
     Returns the smallest t >= 1 such that zeta_n^t lands in the base field,
-    where membership is tested literally via the q-power map.
+    where membership is tested literally as being fixed by the q-power map.
     """
     E2 = build_field(p, 2 * k)
     zeta = find_root_of_unity(E2, n)
     q = p**k
+    w = zeta
     for t in range(1, n + 1):
-        w = zeta**t
-        if w**q == w:
+        if _frobenius(w, q) == w:
             return t
+        w = w * zeta
     raise ArithmeticError("order scan failed")  # pragma: no cover
 
 
@@ -373,12 +415,12 @@ def brute_min_poly(p: int, k: int, n: int) -> tuple[FFElement, FFElement]:
     E2 = build_field(p, 2 * k)
     zeta = find_root_of_unity(E2, n)
     q = p**k
-    conj = zeta**q
+    conj = _frobenius(zeta, q)
     if conj == zeta:
         raise PreconditionError(f"degree of the {n}-th root over F_{q} is 1, not 2")
     trace = zeta + conj
-    norm = zeta ** (q + 1)
-    if trace**q != trace or norm**q != norm:  # pragma: no cover - sanity
+    norm = zeta * conj
+    if _frobenius(trace, q) != trace or _frobenius(norm, q) != norm:  # pragma: no cover - sanity
         raise ArithmeticError("trace/norm not fixed by the q-power map")
     return trace, norm
 
@@ -399,7 +441,7 @@ def brute_moduli(p: int, k: int) -> set[tuple[int, int]]:
     result: set[tuple[int, int]] = set()
     w = E2.one
     for i in range(big):
-        if i > 0 and w**q != w:
+        if i > 0 and _frobenius(w, q) != w:
             step = gcd(i, big)
             n = big // step
             result.add((n, i // step))

@@ -327,14 +327,15 @@ class ArtinSchreierGenerator:
     """An Artin-Schreier generator of the quadratic extension (char 2).
 
     The element y = z / (z + z^yogh) satisfies y^2 - y + a = 0 with
-    a = norm / trace^2; both y and a are returned as concrete values in the
-    explicit quadratic extension (a lies in the base field).
+    a = norm / trace^2.  ``element`` and ``constant`` are y and a as concrete
+    values in the explicit quadratic extension (a lies in the base field)
+    when that extension is within the oracle size bound, and None otherwise.
     """
 
     numerator: RootOfUnity
     denominator: RootSum
-    element: FFElement
-    constant: FFElement
+    element: FFElement | None
+    constant: FFElement | None
 
 
 def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenerator:
@@ -344,6 +345,8 @@ def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenera
     k = yogh(field, n).value
     z = canonical(n, 1)
     trace = RootSum.of(z, power(z, k))
+    if field.q**2 > MAX_FIELD_SIZE:
+        return ArtinSchreierGenerator(z, trace, None, None)
     norm = RootSum.of(power(z, k + 1))
     ext = build_field(field.p, 2 * field.k)
     trace_val = evaluate_sum(ext, trace)

@@ -112,6 +112,51 @@ def test_analyze_rejects_malformed_field(runner):
     assert "must be prime" in result.stderr
 
 
+def test_analyze_large_char_two_field_reports_symbolic_generator(runner):
+    # F_(2^22) is beyond the explicit-field bound: the generator has no
+    # concrete encodings, but the report still goes out.
+    payload = invoke_json(runner, ["analyze", "--field", "q:2^11", "--n", "3"])
+    assert payload["oracle_checked"] is False
+    assert payload["results"]["generator"] == {
+        "type": "artin-schreier",
+        "numerator": "z(3,1)",
+        "denominator": "z(3,1) + z(3,2)",
+    }
+
+
+def test_analyze_huge_field_degree_is_refused_quickly():
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    cmd = [sys.executable, "-m", "cyclokit.cli", "analyze", "--n", "3", "--field"]
+    proc = subprocess.run(
+        [*cmd, "q:7^99999999"], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    proc = subprocess.run(
+        [*cmd, "q:2^20000"], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["in_field"] is True  # 3 | 2^20000 - 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moduli", "--field", "q:2^20000"],
+        ["classify", "--field", "q:3^20000"],
+        ["verify", "--field", "q:2^20000"],
+    ],
+)
+def test_huge_fields_within_the_bit_bound_exit_four(runner, args):
+    # q has more digits than int-to-str allows; messages must not print it.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+
+
 def test_analyze_exits_one_on_oracle_mismatch(runner, monkeypatch):
     real = oracle_mod.brute_min_poly
 

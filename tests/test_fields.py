@@ -10,9 +10,11 @@ from math import gcd
 import pytest
 
 from cyclokit import (
+    MAX_FIELD_BITS,
     PreconditionError,
     ResidueClass,
     Sign,
+    SizeBoundError,
     canonical,
     contains_root,
     cos_sum_in_field,
@@ -52,6 +54,14 @@ def test_finite_field_rejects_composite_characteristic():
         finite_field(4)
     with pytest.raises(ValueError):
         finite_field(6)
+
+
+def test_finite_field_refuses_huge_sizes_before_computing_them():
+    assert finite_field(2, MAX_FIELD_BITS // 2).q.bit_length() == MAX_FIELD_BITS // 2 + 1
+    with pytest.raises(SizeBoundError):
+        finite_field(2, MAX_FIELD_BITS // 2 + 1)
+    with pytest.raises(SizeBoundError):
+        parse_field("q:7^99999999")
 
 
 def test_parse_field_rejects_garbage():

@@ -460,6 +460,11 @@ def test_chi_as_always_nontrivial():
                 assert not cls.is_trivial
 
 
+def test_chi_as_refuses_fields_beyond_the_oracle_bound():
+    with pytest.raises(SizeBoundError):
+        chi_as(finite_field(2, 11), 3)
+
+
 def test_chi_as_rejects_odd_characteristic():
     with pytest.raises(PreconditionError):
         chi_as(F5, 8)

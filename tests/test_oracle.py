@@ -7,16 +7,23 @@ only rely on first principles: field axioms, the divisor product formula for
 cyclotomic polynomials, and direct expansion.
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
+
+import cyclokit
 
 from cyclokit import PreconditionError, SizeBoundError, euler_phi
 from cyclokit import RootSum, canonical, power
 from cyclokit.oracle import (
     CycloRing,
     MAX_FIELD_SIZE,
+    _frobenius,
     brute_min_poly,
     brute_moduli,
     brute_order,
@@ -66,6 +73,21 @@ def test_field_axioms_sampled():
         for a in elems:
             if not a.is_zero:
                 assert a * a.inverse() == E.one
+
+
+@pytest.mark.parametrize(
+    "p, k, modulus, generator",
+    [
+        (23, 2, (1, 0, 1), 25),
+        (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+        (3, 6, (2, 1, 0, 0, 0, 0, 1), 3),
+        (1021, 2, (2, 0, 1), 1035),
+    ],
+)
+def test_frozen_moduli_and_generator_encodings(p, k, modulus, generator):
+    E = build_field(p, k)
+    assert E.modulus == modulus
+    assert E.generator.to_int() == generator
 
 
 def test_multiplicative_group_order():
@@ -232,3 +254,86 @@ def test_brute_moduli_entries_are_quadratic():
             if gcd(j, n) == 1
         }
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the q-power map as a matrix, against literal powers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2), (23, 2)])
+def test_frobenius_matrix_equals_literal_power(p, k):
+    E = build_field(p, k)
+    for j in range(1, k + 1):
+        q = p**j
+        for w in E.elements():
+            assert _frobenius(w, q) == w**q
+
+
+def _literal_order(p, k, n):
+    E = build_field(p, 2 * k)
+    zeta = find_root_of_unity(E, n)
+    q = p**k
+    return next(t for t in range(1, n + 1) if (zeta**t) ** q == zeta**t)
+
+
+def _literal_min_poly(p, k, n):
+    E = build_field(p, 2 * k)
+    zeta = find_root_of_unity(E, n)
+    q = p**k
+    return zeta + zeta**q, zeta ** (q + 1)
+
+
+def _literal_moduli(p, k):
+    q = p**k
+    E = build_field(p, 2 * k)
+    big = E.q - 1
+    out = set()
+    for i in range(1, big):
+        w = E.generator**i
+        if w**q != w:
+            out.add((big // gcd(i, big), i // gcd(i, big)))
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)])
+def test_brute_scans_agree_with_literal_powers(p, k):
+    q = p**k
+    for n in divisors(q * q - 1):
+        order = brute_order(p, k, n)
+        assert order == _literal_order(p, k, n)
+        if order != 1:
+            assert brute_min_poly(p, k, n) == _literal_min_poly(p, k, n)
+    assert brute_moduli(p, k) == _literal_moduli(p, k)
+
+
+def test_verify_multiplication_count_stays_bounded():
+    """A deterministic cost guard: count FFElement products made by one
+    `verify --field q:3^5` in a fresh process (no warm caches).  A scan that
+    went back to literal q-th powers makes about 38,600."""
+    counter = (
+        "import sys\n"
+        "from cyclokit.oracle import FFElement\n"
+        "calls = [0]\n"
+        "def counted(fn):\n"
+        "    def wrapper(a, b):\n"
+        "        calls[0] += 1\n"
+        "        return fn(a, b)\n"
+        "    return wrapper\n"
+        "FFElement.__mul__ = counted(FFElement.__mul__)\n"
+        "FFElement.__rmul__ = counted(FFElement.__rmul__)\n"
+        "from cyclokit.cli import main\n"
+        "main(['verify', '--field', 'q:3^5'], standalone_mode=False)\n"
+        "print(calls[0], file=sys.stderr)\n"
+    )
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", counter],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"mismatches": []' in proc.stdout
+    assert int(proc.stderr.split()[-1]) <= 8000

@@ -348,6 +348,13 @@ def test_artin_schreier_generator_all_char_two_cases():
             radical_generator(field, n)
 
 
+def test_artin_schreier_generator_beyond_the_field_bound_is_symbolic():
+    gen = artin_schreier_generator(finite_field(2, 11), 3)
+    assert gen.numerator == canonical(3, 1)
+    assert str(gen.denominator) == "z(3,1) + z(3,2)"
+    assert gen.element is None and gen.constant is None
+
+
 def test_artin_schreier_generator_rejects_odd_characteristic():
     with pytest.raises(PreconditionError):
         artin_schreier_generator(F5, 8)
