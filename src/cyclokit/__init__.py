@@ -5,7 +5,9 @@ field (the rationals or a finite field) yields a degree-2 extension, computes
 the conjugation exponent and minimal polynomial of such a root, classifies
 the extensions by prime sets and moduli presentations, and embeds them into
 the field's quadratic-extension classes — with every formula cross-checked
-against an independent brute-force oracle.
+against an independent brute-force oracle.  The package does not import the
+oracle; ``cyclokit.oracle`` is imported on its own by those who realize or
+cross-check concrete values (the CLI and the tests).
 
 The public API is the union of the submodules' ``__all__`` lists.
 """

@@ -4,15 +4,18 @@ Commands:
 
 * ``analyze --field S --n N`` — full classification data of the n-th root
   over the field: degree, orders, conjugation exponent, case tag, symbolic
-  and concrete minimal polynomial, generators, kappa branch.  The minimal
-  polynomial's concrete coefficients are realized here, in the oracle's
-  F_(q^2), and are the only concrete values ``verify`` cross-checks.
+  and concrete minimal polynomial, generators, kappa branch.
 * ``moduli --field S [--prime P]`` — the global (or per-prime) moduli of
   quadratic cyclotomic extensions.
 * ``verify --field S [--max-n N]`` — formula-vs-brute-force comparison over
   an explicit finite field; any disagreement is listed and fails the run.
 * ``classify --field S`` — the prime-set partition and the embedding data
   into the field's quadratic-extension classes.
+
+The formula layer is symbolic; this module is the one place that imports
+the brute-force oracle.  It realizes the minimal polynomial's coefficients
+and the generator's values in the oracle's F_(q^2) (exactly, over the
+rationals) and cross-checks the minimal polynomial against the oracle's own.
 
 Exit codes: 0 success, 1 verification mismatches, 2 usage/parse errors,
 3 unmet mathematical preconditions, 4 size bounds exceeded.  The environment
@@ -149,32 +152,61 @@ def _render_int_poly(c0: int, c1: int) -> str:
     return " ".join(parts)
 
 
+def _quadratic_extension(field: FieldProfile) -> oracle.ExplicitField | None:
+    """The oracle's F_(q^2) when q^2 is within the field bound, else None."""
+    if field.is_rational or field.q**2 > oracle.MAX_FIELD_SIZE:
+        return None
+    return oracle.build_field(field.p, 2 * field.k)
+
+
+def _values_json(values) -> list:
+    """Realized values for a JSON report: field elements by their
+    coordinates, rationals as strings."""
+    return [v.value_repr() if isinstance(v, oracle.FFElement) else str(v)
+            for v in values]
+
+
 def _realize_min_poly(
     field: FieldProfile, poly: quadcyclo.QuadMinPoly
 ) -> tuple[dict, list[dict], bool]:
     """The JSON of ``poly`` with its coefficients' values in the oracle's
     F_(q^2) when q^2 is within the field bound; the mismatch records against
-    the oracle's own q-power computation; and whether the oracle gate let
+    the oracle's own minimal polynomial (the q-power map over a finite field,
+    the cyclotomic ring over the rationals); and whether the oracle gate let
     that check run."""
     doc = poly.to_json()
-    if field.is_rational or field.q**2 > oracle.MAX_FIELD_SIZE:
-        return doc, [], False
-    ext = oracle.build_field(field.p, 2 * field.k)
-    trace = oracle.evaluate_sum(ext, poly.trace_coeff)
-    norm = oracle.evaluate_sum(ext, poly.norm_coeff)
-    doc["trace_concrete"] = trace.value_repr()
-    doc["norm_concrete"] = norm.value_repr()
-    if _oracle_refusal(field) is not None:
-        return doc, [], False
-    n, frobenius = poly.n, field.q % poly.n
+    n = poly.n
     mismatches = []
-    if poly.yogh.value != frobenius:
-        mismatches.append(
-            {"n": n, "check": "yogh_frobenius", "formula": poly.yogh.value,
-             "oracle": frobenius}
+    if field.is_rational:
+        formula = (
+            oracle.evaluate_sum_rational(poly.trace_coeff),
+            oracle.evaluate_sum_rational(poly.norm_coeff),
         )
-    if (trace, norm) != oracle.brute_min_poly(field.p, field.k, n):
-        mismatches.append({"n": n, "check": "min_poly_concrete"})
+        c0, c1, _ = oracle.rational_min_poly(n)
+        truth = (-c1, c0)
+    else:
+        ext = _quadratic_extension(field)
+        if ext is None:
+            return doc, [], False
+        formula = (
+            oracle.evaluate_sum(ext, poly.trace_coeff),
+            oracle.evaluate_sum(ext, poly.norm_coeff),
+        )
+        doc["trace_concrete"], doc["norm_concrete"] = _values_json(formula)
+        if _oracle_refusal(field) is not None:
+            return doc, [], False
+        frobenius = field.q % n
+        if poly.yogh.value != frobenius:
+            mismatches.append(
+                {"n": n, "check": "yogh_frobenius", "formula": poly.yogh.value,
+                 "oracle": frobenius}
+            )
+        truth = oracle.brute_min_poly(field.p, field.k, n)
+    if formula != truth:
+        mismatches.append(
+            {"n": n, "check": "min_poly_concrete", "formula": _values_json(formula),
+             "oracle": _values_json(truth)}
+        )
     return doc, mismatches, True
 
 
@@ -188,6 +220,10 @@ def _kappa_json(field: FieldProfile, n: int) -> dict:
 
 
 def _generator_json(field: FieldProfile, n: int) -> dict:
+    """The generator's formal sums, with their values realized in the
+    oracle's F_(q^2) (exactly, over the rationals) when q^2 is within the
+    field bound."""
+    ext = _quadratic_extension(field)
     if field.characteristic == 2:
         gen = quadcyclo.artin_schreier_generator(field, n)
         doc: dict = {
@@ -195,9 +231,14 @@ def _generator_json(field: FieldProfile, n: int) -> dict:
             "numerator": str(gen.numerator),
             "denominator": str(gen.denominator),
         }
-        if gen.element is not None:
-            doc["element_encoding"] = gen.element.to_int()
-            doc["constant_encoding"] = gen.constant.to_int()
+        if ext is not None:
+            trace = oracle.evaluate_sum(ext, gen.denominator)
+            if trace.is_zero:
+                raise PreconditionError("zero trace: no Artin-Schreier generator")
+            y = oracle.embed_root(ext, gen.numerator) / trace
+            doc["element_encoding"] = y.to_int()
+            # y^2 + y = norm / trace^2 in characteristic 2
+            doc["constant_encoding"] = (y * y + y).to_int()
         return doc
     gen = quadcyclo.radical_generator(field, n)
     doc = {
@@ -205,11 +246,10 @@ def _generator_json(field: FieldProfile, n: int) -> dict:
         "expression": str(gen.expression),
         "square": str(gen.square),
     }
-    if gen.square_value is not None:
-        value = gen.square_value
-        doc["square_value"] = (
-            str(value) if field.is_rational else value.value_repr()
-        )
+    if field.is_rational:
+        doc["square_value"] = str(oracle.evaluate_sum_rational(gen.square))
+    elif ext is not None:
+        doc["square_value"] = oracle.evaluate_sum(ext, gen.square).value_repr()
     return doc
 
 
@@ -249,7 +289,7 @@ def analyze(field_spec: str, n: int) -> None:
         if field.is_rational:
             c0, c1, _ = oracle.rational_min_poly(n)
             results["integer_min_poly"] = _render_int_poly(c0, c1)
-        report.oracle_checked = field.is_rational or checked
+        report.oracle_checked = checked
     _emit(report)
 
 
@@ -324,8 +364,10 @@ def verify(field_spec: str, max_n: int | None) -> None:
                 {"n": n, "check": "quadratic", "formula": quadratic_formula,
                  "oracle": quadratic_brute, "equaliser": membership}
             )
-        if moduli_mod.g2_membership(field, canonical(n, 1)) != (order_brute == 2):
-            mismatches.append({"n": n, "check": "order_two"})
+        order_two = moduli_mod.g2_membership(field, canonical(n, 1))
+        if order_two != (order_brute == 2):
+            mismatches.append({"n": n, "check": "order_two", "formula": order_two,
+                               "oracle": order_brute == 2})
         if quadratic_formula:
             poly = quadcyclo.min_poly(field, n)
             mismatches.extend(_realize_min_poly(field, poly)[1])

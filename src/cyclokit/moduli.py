@@ -6,7 +6,8 @@ of the base field (square classes, Artin-Schreier classes).
 All sets of roots of unity are presented as the set expressions from
 :mod:`cyclokit.roots` (products, differences, and unions of mu- and
 primitive-sets), with arithmetic cardinalities that the enumeration tests
-cross-check.
+cross-check.  The embeddings are decided symbolically, from the generators'
+formal sums, so this module builds no field and does not import the oracle.
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import PreconditionError, SizeBoundError
+from .errors import PreconditionError
 from .field_profile import (
     FieldProfile,
     contains_root,
     ell,
     order_of_zeta,
-    render_field,
 )
-from .numtheory import eps, factorize, pfree_quotient, squarefree_kernel
-from .oracle import MAX_FIELD_SIZE, ExplicitField, FFElement
+from .numtheory import eps, factorize, pfree_quotient
 from .quadcyclo import (
     artin_schreier_generator,
     is_quadratic,
@@ -60,7 +59,6 @@ __all__ = [
     "g2",
     "g2_membership",
     "g2_star",
-    "inseparable_orbit_related",
     "m2_membership",
     "m2p",
     "quad_moduli_summary",
@@ -390,14 +388,8 @@ class RationalSquareClass:
 
 @dataclass(frozen=True)
 class FiniteSquareClass:
-    """A square class of F_q (odd q): residue bit plus a witness encoding.
+    """A square class of F_q (odd q), named by its residue bit."""
 
-    ``encoding`` is the witness value's integer encoding inside the explicit
-    quadratic extension field F_(q^2) built by the oracle (the value itself
-    lies in the base field).
-    """
-
-    encoding: int
     is_residue: bool
 
     @property
@@ -408,23 +400,14 @@ class FiniteSquareClass:
         return "residue class" if self.is_residue else "non-residue class"
 
     def to_json(self) -> dict:
-        return {
-            "kind": "finite-square-class",
-            "encoding": self.encoding,
-            "is_residue": self.is_residue,
-        }
+        return {"kind": "finite-square-class", "is_residue": self.is_residue}
 
 
 @dataclass(frozen=True)
 class ArtinSchreierClass:
-    """An Artin-Schreier class of F_(2^k): absolute-trace bit plus witness.
+    """An Artin-Schreier class of F_(2^k), named by its absolute-trace bit;
+    the class is nontrivial exactly when the trace bit is 1."""
 
-    ``encoding`` is the witness's integer encoding inside the explicit
-    quadratic extension F_(2^(2k)); the class is nontrivial exactly when
-    the trace bit is 1.
-    """
-
-    encoding: int
     trace_bit: int
 
     @property
@@ -435,17 +418,7 @@ class ArtinSchreierClass:
         return f"Artin-Schreier class with trace bit {self.trace_bit}"
 
     def to_json(self) -> dict:
-        return {
-            "kind": "artin-schreier-class",
-            "encoding": self.encoding,
-            "trace_bit": self.trace_bit,
-        }
-
-
-def _beyond_oracle_bound(field: FieldProfile) -> SizeBoundError:
-    return SizeBoundError(
-        f"quadratic extension of {render_field(field)} exceeds the bound {MAX_FIELD_SIZE}"
-    )
+        return {"kind": "artin-schreier-class", "trace_bit": self.trace_bit}
 
 
 def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareClass:
@@ -453,49 +426,28 @@ def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareCl
 
     This is the image of the extension under the classification of quadratic
     extensions by square classes; it must land in a nontrivial class for a
-    genuine quadratic extension.
+    genuine quadratic extension.  Over F_q the square is a square in F_q
+    exactly when the generator z - z^yogh lies in F_q, i.e. is fixed by the
+    exponent map z -> z^q.  Over the rationals the closed form is -1 for
+    n = 4 and -3 for n = 3, 6 (the squares are -4 and -3).
     """
-    if field.characteristic == 2:
-        raise PreconditionError("square classes require characteristic != 2")
-    value = radical_generator(field, n).square_value
+    gen = radical_generator(field, n)
     if field.is_rational:
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral radical square {value}")
-        return RationalSquareClass(squarefree_kernel(int(value)))
-    if value is None:
-        raise _beyond_oracle_bound(field)
-    if value.is_zero:
-        raise ArithmeticError("radical generator squared to zero")
-    if value**field.q != value:
-        raise ArithmeticError("radical square escaped the base field")
-    is_residue = value ** ((field.q - 1) // 2) == value.field.one
-    return FiniteSquareClass(value.to_int(), is_residue)
+        return RationalSquareClass(-1 if n == 4 else -3)
+    return FiniteSquareClass(gen.expression.map_exponent(field.q) == gen.expression)
 
 
 def chi_as(field: FieldProfile, n: int) -> ArtinSchreierClass:
-    """The Artin-Schreier class norm/trace^2 of the extension (char 2).
+    """The Artin-Schreier class norm/trace^2 = y^2 + y of the extension
+    (char 2), for the generator y = z/(z + z^yogh).
 
-    The absolute trace (down to the prime field F_2) of the constant is the
-    class invariant; it must be 1 for a genuine quadratic extension.
+    The absolute trace (down to F_2) of the constant is the class invariant:
+    it is 0 exactly when y^2 + y = a has a root in F_q, i.e. when y lies in
+    F_q, which holds exactly when z does.  It must be 1 for a genuine
+    quadratic extension.
     """
-    if field.characteristic != 2:
-        raise PreconditionError("Artin-Schreier classes require characteristic 2")
-    a = artin_schreier_generator(field, n).constant
-    if a is None:
-        raise _beyond_oracle_bound(field)
-    if a**field.q != a:
-        raise ArithmeticError("Artin-Schreier constant escaped the base field")
-    ext = a.field
-    trace = ext.zero
-    for i in range(field.k):
-        trace = trace + a ** (2**i)
-    if trace == ext.zero:
-        bit = 0
-    elif trace == ext.one:
-        bit = 1
-    else:  # pragma: no cover - absolute trace lands in the prime field
-        raise ArithmeticError("absolute trace outside the prime field")
-    return ArtinSchreierClass(a.to_int(), bit)
+    z = artin_schreier_generator(field, n).numerator
+    return ArtinSchreierClass(int(not contains_root(field, z)))
 
 
 def quad_moduli_summary(field: FieldProfile) -> dict:
@@ -513,23 +465,3 @@ def quad_moduli_summary(field: FieldProfile) -> dict:
         }
     return {"separable": 1, "inseparable": 0}
 
-
-def inseparable_orbit_related(
-    ext: ExplicitField, a: FFElement, aprime: FFElement
-) -> bool:
-    """The orbit relation for inseparable quadratic classes in char 2:
-    a ~ c^2 a' - b^2 for some nonzero c and some b.
-
-    Over the perfect fields supported here this relates every pair (squaring
-    is onto), confirming that the inseparable moduli space is empty.
-    """
-    if ext.p != 2:
-        raise PreconditionError("the orbit relation applies in characteristic 2")
-    elements = list(ext.elements())
-    for c in elements:
-        if c.is_zero:
-            continue
-        for b in elements:
-            if a == c * c * aprime - b * b:
-                return True
-    return False

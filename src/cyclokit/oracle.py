@@ -8,8 +8,10 @@ quotient ring.  It does import plain integer helpers from ``numtheory``
 (``factorize`` for the Rabin irreducibility test and the generator search,
 ``euler_phi`` for the rational degree check, ``is_prime`` for argument
 checks) and the exponent-class types ``RootOfUnity`` and ``RootSum`` from
-``roots``, which :func:`evaluate_sum` realizes.  The test suite and the
-``verify`` CLI command compare the two layers; agreement is the point.
+``roots``, which :func:`evaluate_sum` realizes.  No formula module imports
+it, so ``import cyclokit`` does not load it: only the CLI, which realizes
+concrete values and cross-checks them, and the test suite do.  Agreement of
+the two layers is the point.
 
 The q-power test ("is w fixed by x -> x^q?") never raises w to the q-th
 power.  x -> x^q is F_p-linear on coordinates, so each field memoises its
@@ -55,6 +57,7 @@ __all__ = [
     "evaluate_sum",
     "evaluate_sum_rational",
     "find_root_of_unity",
+    "inseparable_orbit_related",
     "rational_min_poly",
 ]
 
@@ -447,6 +450,27 @@ def brute_moduli(p: int, k: int) -> set[tuple[int, int]]:
             result.add((n, i // step))
         w = w * g
     return result
+
+
+def inseparable_orbit_related(
+    ext: ExplicitField, a: FFElement, aprime: FFElement
+) -> bool:
+    """The orbit relation for inseparable quadratic classes in char 2:
+    a ~ c^2 a' - b^2 for some nonzero c and some b, by exhaustive search.
+
+    Over the perfect fields supported here this relates every pair (squaring
+    is onto), confirming that the inseparable moduli space is empty.
+    """
+    if ext.p != 2:
+        raise PreconditionError("the orbit relation applies in characteristic 2")
+    elements = list(ext.elements())
+    for c in elements:
+        if c.is_zero:
+            continue
+        for b in elements:
+            if a == c * c * aprime - b * b:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

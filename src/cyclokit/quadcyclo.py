@@ -17,16 +17,19 @@ Central objects, for a base field F and a primitive n-th root of unity z
 * ``min_poly`` — x^2 - (z + z^yogh) x + z^(yogh+1) with symbolic coefficients
   (formal sums of roots of unity), a case tag, and a structured display
   shape;
-* radical and Artin-Schreier generators for the extension;
+* radical and Artin-Schreier generators for the extension, as formal sums;
 * ``t_nF``, property-C2 detection, the nu exponents, and ``kappa_class``,
   the per-element classification datum whose vanishing cuts out exactly the
   degree-2 roots of unity.
+
+Every datum is symbolic: no explicit field is built here.  The CLI realizes
+concrete values in F_(q^2) with the brute-force oracle, which this module does
+not import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import PreconditionError
@@ -40,13 +43,6 @@ from .field_profile import (
     order_of_zeta,
 )
 from .numtheory import ResidueClass, crt, eps, euler_phi, factorize
-from .oracle import (
-    MAX_FIELD_SIZE,
-    FFElement,
-    build_field,
-    evaluate_sum,
-    evaluate_sum_rational,
-)
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
 
 __all__ = [
@@ -291,15 +287,12 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
 class RadicalGenerator:
     """A radical generator of the quadratic extension (characteristic != 2).
 
-    The element z - z^yogh has trace zero, so its square lies in F and
-    x^2 - square is its defining polynomial.  ``square_value`` is the exact
-    rational value over the rationals, a concrete field element over a finite
-    field within the oracle size bound, and None otherwise.
+    The element ``expression`` = z - z^yogh has trace zero, so its
+    ``square`` lies in F and x^2 - square is its defining polynomial.
     """
 
     expression: RootSum
     square: RootSum
-    square_value: Fraction | FFElement | None
 
 
 def radical_generator(field: FieldProfile, n: int) -> RadicalGenerator:
@@ -312,49 +305,28 @@ def radical_generator(field: FieldProfile, n: int) -> RadicalGenerator:
     square = RootSum.from_terms(
         [(1, power(z, 2)), (1, power(z, 2 * k)), (-2, power(z, k + 1))]
     )
-    value: Fraction | FFElement | None
-    if field.is_rational:
-        value = evaluate_sum_rational(square)
-    elif field.q**2 <= MAX_FIELD_SIZE:
-        value = evaluate_sum(build_field(field.p, 2 * field.k), square)
-    else:
-        value = None
-    return RadicalGenerator(expression, square, value)
+    return RadicalGenerator(expression, square)
 
 
 @dataclass(frozen=True)
 class ArtinSchreierGenerator:
     """An Artin-Schreier generator of the quadratic extension (char 2).
 
-    The element y = z / (z + z^yogh) satisfies y^2 - y + a = 0 with
-    a = norm / trace^2.  ``element`` and ``constant`` are y and a as concrete
-    values in the explicit quadratic extension (a lies in the base field)
-    when that extension is within the oracle size bound, and None otherwise.
+    The element y = numerator / denominator = z / (z + z^yogh) satisfies
+    y^2 - y + a = 0 with a = norm / trace^2 = y^2 + y in the base field.
     """
 
     numerator: RootOfUnity
     denominator: RootSum
-    element: FFElement | None
-    constant: FFElement | None
 
 
 def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenerator:
-    """The Artin-Schreier generator z/(z + z^yogh) and its constant (char 2)."""
+    """The Artin-Schreier generator z/(z + z^yogh) (char 2)."""
     if field.characteristic != 2:
         raise PreconditionError("Artin-Schreier generators require characteristic 2")
     k = yogh(field, n).value
     z = canonical(n, 1)
-    trace = RootSum.of(z, power(z, k))
-    if field.q**2 > MAX_FIELD_SIZE:
-        return ArtinSchreierGenerator(z, trace, None, None)
-    norm = RootSum.of(power(z, k + 1))
-    ext = build_field(field.p, 2 * field.k)
-    trace_val = evaluate_sum(ext, trace)
-    if trace_val.is_zero:
-        raise PreconditionError("zero trace: no Artin-Schreier generator")
-    element = evaluate_sum(ext, RootSum.of(z)) / trace_val
-    constant = evaluate_sum(ext, norm) / (trace_val * trace_val)
-    return ArtinSchreierGenerator(z, trace, element, constant)
+    return ArtinSchreierGenerator(z, RootSum.of(z, power(z, k)))
 
 
 def has_property_C2(field: FieldProfile) -> int | None:

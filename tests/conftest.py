@@ -2,10 +2,20 @@
 
 The recurring pattern throughout these tests is a sweep over small prime
 powers q = p^k: the fields F_q are the concrete backends on which every
-formula-layer result can be checked against the brute-force oracle.
+formula-layer result can be checked against the brute-force oracle.  The
+concrete references for the square-class and Artin-Schreier embeddings are
+realized here, in the oracle's F_(q^2).
 """
 
-from cyclokit import canonical, identity, is_prime, multiply
+from cyclokit import (
+    artin_schreier_generator,
+    canonical,
+    identity,
+    is_prime,
+    multiply,
+    radical_generator,
+)
+from cyclokit.oracle import build_field, embed_root, evaluate_sum
 
 
 def prime_powers(limit):
@@ -58,3 +68,32 @@ def parts_product(n):
             z = multiply(z, canonical(p**e, 1))
         p += 1
     return z
+
+
+def artin_schreier_values(field, n):
+    """The Artin-Schreier generator y = z/(z + z^yogh) of the n-th root over
+    F_q and its constant y^2 + y, realized in the oracle's F_(q^2)."""
+    gen = artin_schreier_generator(field, n)
+    E = build_field(field.p, 2 * field.k)
+    y = embed_root(E, gen.numerator) / evaluate_sum(E, gen.denominator)
+    return y, y * y + y
+
+
+def euler_is_residue(field, n):
+    """Euler's criterion on the radical generator's square, realized in the
+    oracle's F_(q^2): whether it is a square in F_q."""
+    E = build_field(field.p, 2 * field.k)
+    value = evaluate_sum(E, radical_generator(field, n).square)
+    return value ** ((field.q - 1) // 2) == E.one
+
+
+def absolute_trace_bit(field, n):
+    """The absolute trace down to F_2 of the Artin-Schreier constant,
+    realized in the oracle's F_(q^2)."""
+    _, a = artin_schreier_values(field, n)
+    E = a.field
+    trace = E.zero
+    for i in range(field.k):
+        trace = trace + a ** (2**i)
+    assert trace in (E.zero, E.one), "absolute trace outside the prime field"
+    return int(trace == E.one)

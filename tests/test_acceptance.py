@@ -46,7 +46,14 @@ from cyclokit import (
 from cyclokit.oracle import brute_min_poly, build_field, evaluate_sum
 from cyclokit.roots import enumerate as enumerate_subset
 
-from conftest import divisors, odd_prime_powers, parts_product, prime_powers
+from conftest import (
+    absolute_trace_bit,
+    divisors,
+    euler_is_residue,
+    odd_prime_powers,
+    parts_product,
+    prime_powers,
+)
 
 
 Q = rational()
@@ -271,21 +278,29 @@ def test_criterion_8_square_class_and_artin_schreier_embeddings():
             got == RationalSquareClass(kernel) and not got.is_trivial,
             f"chi_rad(Q, {n}) is not the class of {kernel}",
         )
+    # Finite fields: the symbolic classes against Euler's criterion and the
+    # absolute trace on the generators' values in the oracle's F_(q^2).
     for p, k, q in odd_prime_powers(49):
         field = finite_field(p, k)
         for n in divisors(q * q - 1):
             if not is_quadratic(field, n):
                 continue
-            if chi_rad(field, n).is_trivial:
+            cls = chi_rad(field, n)
+            if cls.is_trivial:
                 failures.append(f"chi_rad trivial for q={q}, n={n}")
+            if cls.is_residue != euler_is_residue(field, n):
+                failures.append(f"chi_rad disagrees with Euler's criterion for q={q}, n={n}")
     for k in (1, 2, 3, 4):
         field = finite_field(2, k)
         q = 2**k
         for n in divisors(q * q - 1):
             if not is_quadratic(field, n):
                 continue
-            if chi_as(field, n).trace_bit != 1:
+            bit = chi_as(field, n).trace_bit
+            if bit != 1:
                 failures.append(f"chi_as trace bit not 1 for q={q}, n={n}")
+            if bit != absolute_trace_bit(field, n):
+                failures.append(f"chi_as disagrees with the absolute trace for q={q}, n={n}")
     _verdict(8, "chi_rad lands on nontrivial square classes; chi_as trace bit 1", failures)
 
 

@@ -168,7 +168,27 @@ def test_analyze_exits_one_on_oracle_mismatch(runner, monkeypatch):
     result = runner.invoke(main, ["analyze", "--field", "q:23", "--n", "16"])
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
-    assert payload["mismatches"] == [{"n": 16, "check": "min_poly_concrete"}]
+    assert payload["mismatches"] == [
+        {"n": 16, "check": "min_poly_concrete", "formula": [[19, 0], [22, 0]],
+         "oracle": [[22, 0], [19, 0]]}
+    ]
+
+
+def test_analyze_rational_checks_the_oracle_polynomial(runner, monkeypatch):
+    # Over the rationals the realized coefficients are compared with the
+    # cyclotomic ring's polynomial: x^2 + 1 for n = 4, here made x^2 + x + 1.
+    real = oracle_mod.rational_min_poly
+    monkeypatch.setattr(
+        oracle_mod, "rational_min_poly", lambda n: (1, 1, 1) if n == 4 else real(n)
+    )
+    result = runner.invoke(main, ["analyze", "--field", "Q", "--n", "4"])
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["oracle_checked"] is True
+    assert payload["mismatches"] == [
+        {"n": 4, "check": "min_poly_concrete", "formula": ["0", "1"],
+         "oracle": ["-1", "1"]}
+    ]
 
 
 @pytest.mark.parametrize(
@@ -280,6 +300,9 @@ def test_verify_quadratic_check_uses_the_oracle_order(runner, monkeypatch):
     payload = json.loads(result.stdout)
     assert {"n": 8, "check": "quadratic", "formula": True, "oracle": False,
             "equaliser": True} in payload["mismatches"]
+    assert {"n": 8, "check": "order_two", "formula": True, "oracle": False} in (
+        payload["mismatches"]
+    )
 
 
 @pytest.fixture
@@ -299,7 +322,8 @@ def broken_min_poly_16(monkeypatch):
     monkeypatch.setattr(quadcyclo_mod, "min_poly", fake_poly)
     monkeypatch.setattr(oracle_mod, "brute_min_poly", fake_brute)
     return [{"n": 16, "check": "yogh_frobenius", "formula": 15, "oracle": 7},
-            {"n": 16, "check": "min_poly_concrete"}]
+            {"n": 16, "check": "min_poly_concrete", "formula": [[19, 0], [22, 0]],
+             "oracle": [[22, 0], [19, 0]]}]
 
 
 @pytest.mark.parametrize("args", [["verify", "--field", "q:23"],

@@ -14,7 +14,7 @@ from cyclokit import (
     Mu,
     PreconditionError,
     RationalSquareClass,
-    SizeBoundError,
+    artin_schreier_generator,
     canonical,
     cardinality,
     chi_as,
@@ -31,7 +31,6 @@ from cyclokit import (
     g2,
     g2_membership,
     g2_star,
-    inseparable_orbit_related,
     is_quadratic,
     kappa_class,
     m2_membership,
@@ -41,15 +40,16 @@ from cyclokit import (
     order_of_zeta,
     primitive_order,
     quad_moduli_summary,
+    radical_generator,
     rational,
     s_max,
     s_n,
     squarefree_kernel,
 )
-from cyclokit.oracle import build_field
+from cyclokit.oracle import build_field, evaluate_sum_rational, inseparable_orbit_related
 from cyclokit.roots import enumerate as enumerate_subset
 
-from conftest import divisors, prime_powers
+from conftest import absolute_trace_bit, divisors, euler_is_residue, prime_powers
 
 
 Q = rational()
@@ -374,15 +374,24 @@ def test_m2_membership_over_rationals_matches_degree():
 
 
 def test_moduli_render_min_poly_without_building_fields():
-    # Only the rendered minimal polynomials reach the moduli descriptions, so
-    # no explicit field is built.  F_16 uses 17 (a prime dividing q + 1) for
-    # its per-prime moduli, since 2 is its characteristic.
+    # Only the rendered minimal polynomials reach the moduli descriptions, and
+    # the generators and their classes are formal sums, so no explicit field
+    # is built.  F_16 uses 17 (a prime dividing q + 1) for its per-prime
+    # moduli, since 2 is its characteristic; the root of that prime order
+    # generates the quadratic extension of either field.
     for field, prime in ((finite_field(1021), 2), (finite_field(2, 4), 17)):
+        n = 8 if prime == 2 else prime
         build_field.cache_clear()
         assert s_max(field).classes
         assert full_moduli(field).classes
         g2(field)
         assert m2p(field, prime).classes
+        if field.characteristic == 2:
+            artin_schreier_generator(field, n)
+            assert chi_as(field, n).trace_bit == 1
+        else:
+            radical_generator(field, n)
+            assert chi_rad(field, n).is_residue is False
         assert build_field.cache_info().misses == 0
 
 
@@ -407,31 +416,31 @@ def test_chi_rad_finite_nonresidue():
 
 
 def test_chi_rad_always_nontrivial():
+    # The symbolic residue bit agrees with Euler's criterion on the square's
+    # value, and is always a non-residue.
     for p, k, q in prime_powers(31):
         if p == 2:
             continue
         field = finite_field(p, k)
         for n in divisors(q * q - 1):
             if (q - 1) % n != 0:
-                assert not chi_rad(field, n).is_trivial
+                cls = chi_rad(field, n)
+                assert cls.is_residue == euler_is_residue(field, n)
+                assert not cls.is_trivial
 
 
 def test_chi_rad_square_class_is_the_generator_square():
     # The class is represented by the square of the radical generator: over
     # the rationals, its signed squarefree kernel.
-    from cyclokit import radical_generator
-
     for n in (3, 4, 6):
-        gen = radical_generator(Q, n)
-        cls = chi_rad(Q, n)
-        num = gen.square_value.numerator * gen.square_value.denominator
-        assert cls == RationalSquareClass(squarefree_kernel(num))
+        value = evaluate_sum_rational(radical_generator(Q, n).square)
+        kernel = squarefree_kernel(value.numerator * value.denominator)
+        assert chi_rad(Q, n) == RationalSquareClass(kernel)
 
 
-def test_chi_rad_refuses_fields_beyond_the_oracle_bound():
-    # 1031^2 exceeds the explicit-field bound, so the square has no value.
-    with pytest.raises(SizeBoundError):
-        chi_rad(finite_field(1031), 8)
+def test_chi_rad_answers_beyond_the_oracle_bound():
+    # 1031^2 exceeds the explicit-field bound; the class is symbolic.
+    assert chi_rad(finite_field(1031), 8) == FiniteSquareClass(False)
 
 
 def test_chi_rad_rejects_char_two_and_non_quadratic():
@@ -456,13 +465,13 @@ def test_chi_as_always_nontrivial():
         for n in divisors(q * q - 1):
             if (q - 1) % n != 0:
                 cls = chi_as(field, n)
-                assert cls.trace_bit == 1
+                assert cls.trace_bit == absolute_trace_bit(field, n) == 1
                 assert not cls.is_trivial
 
 
-def test_chi_as_refuses_fields_beyond_the_oracle_bound():
-    with pytest.raises(SizeBoundError):
-        chi_as(finite_field(2, 11), 3)
+def test_chi_as_answers_beyond_the_oracle_bound():
+    # 2^22 exceeds the explicit-field bound; the class is symbolic.
+    assert chi_as(finite_field(2, 11), 3) == ArtinSchreierClass(1)
 
 
 def test_chi_as_rejects_odd_characteristic():

@@ -337,3 +337,19 @@ def test_verify_multiplication_count_stays_bounded():
     assert proc.returncode == 0, proc.stderr
     assert '"mismatches": []' in proc.stdout
     assert int(proc.stderr.split()[-1]) <= 8000
+
+
+def test_import_cyclokit_leaves_the_oracle_unloaded():
+    # The formula layer is symbolic: importing the package, in a fresh
+    # process, must not load the oracle that checks it.
+    code = "import sys, cyclokit; print('cyclokit.oracle' in sys.modules)"
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

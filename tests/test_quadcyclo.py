@@ -48,9 +48,14 @@ from cyclokit import (
     t_nF,
     yogh,
 )
-from cyclokit.oracle import brute_min_poly, build_field, evaluate_sum
+from cyclokit.oracle import (
+    brute_min_poly,
+    build_field,
+    evaluate_sum,
+    evaluate_sum_rational,
+)
 
-from conftest import divisors, prime_powers
+from conftest import artin_schreier_values, divisors, prime_powers
 
 
 Q = rational()
@@ -300,12 +305,12 @@ def test_yogh_minus_one_and_radical_characterizations():
 
 def test_radical_generator_rational_values():
     gen4 = radical_generator(Q, 4)
-    assert gen4.square_value == Fraction(-4)
+    assert evaluate_sum_rational(gen4.square) == Fraction(-4)
     gen3 = radical_generator(Q, 3)
     assert gen3.expression == RootSum.of(canonical(3, 1)) - RootSum.of(canonical(3, 2))
-    assert gen3.square_value == Fraction(-3)
+    assert evaluate_sum_rational(gen3.square) == Fraction(-3)
     gen6 = radical_generator(Q, 6)
-    assert gen6.square_value == Fraction(-3)
+    assert evaluate_sum_rational(gen6.square) == Fraction(-3)
 
 
 def test_radical_generator_square_identity_on_finite_fields():
@@ -317,10 +322,10 @@ def test_radical_generator_square_identity_on_finite_fields():
         gen = radical_generator(field, n)
         E = build_field(field.p, 2 * field.k)
         value = evaluate_sum(E, gen.expression)
-        assert value * value == evaluate_sum(E, gen.square)
+        square = evaluate_sum(E, gen.square)
+        assert value * value == square
         assert value**q == -value  # conjugation negates a radical generator
-        assert gen.square_value == evaluate_sum(E, gen.square)
-        assert gen.square_value ** q == gen.square_value
+        assert square**q == square
 
 
 def test_radical_generator_rejects_char_two():
@@ -331,10 +336,10 @@ def test_radical_generator_rejects_char_two():
 def test_artin_schreier_generator_char_two():
     gen = artin_schreier_generator(F2, 3)
     assert gen.numerator == canonical(3, 1)
+    y, constant = artin_schreier_values(F2, 3)
     E4 = build_field(2, 2)
-    assert gen.constant == E4.one  # x^2 - x + 1 over F_2
-    # The element satisfies x^2 + x + constant = 0 (char 2).
-    assert gen.element * gen.element + gen.element + gen.constant == E4.zero
+    assert constant == E4.one  # x^2 - x + 1 over F_2
+    assert y not in (E4.zero, E4.one)
 
 
 def test_artin_schreier_generator_all_char_two_cases():
@@ -342,8 +347,13 @@ def test_artin_schreier_generator_all_char_two_cases():
         if field.characteristic != 2:
             continue
         gen = artin_schreier_generator(field, n)
-        assert gen.element * gen.element + gen.element + gen.constant == gen.constant.field.zero
-        assert gen.constant**q == gen.constant  # constant lies in the base field
+        y, constant = artin_schreier_values(field, n)
+        assert y**q != y  # the generator lies outside the base field
+        assert constant**q == constant  # constant lies in the base field
+        # The constant is norm / trace^2, the denominator being the trace.
+        E = constant.field
+        trace = evaluate_sum(E, gen.denominator)
+        assert constant == evaluate_sum(E, min_poly(field, n).norm_coeff) / (trace * trace)
         with pytest.raises(PreconditionError):
             radical_generator(field, n)
 
@@ -352,7 +362,6 @@ def test_artin_schreier_generator_beyond_the_field_bound_is_symbolic():
     gen = artin_schreier_generator(finite_field(2, 11), 3)
     assert gen.numerator == canonical(3, 1)
     assert str(gen.denominator) == "z(3,1) + z(3,2)"
-    assert gen.element is None and gen.constant is None
 
 
 def test_artin_schreier_generator_rejects_odd_characteristic():
