@@ -17,22 +17,22 @@ the brute-force oracle.  It realizes the minimal polynomial's coefficients
 and the generator's values in the oracle's F_(q^2) (exactly, over the
 rationals) and cross-checks the minimal polynomial against the oracle's own.
 
-Exit codes: 0 success, 1 verification mismatches, 2 usage/parse errors,
-3 unmet mathematical preconditions, 4 size bounds exceeded.  The environment
-variable CYCLOKIT_MAX_Q (default 1024) caps the field size for which the
-brute-force oracle is consulted; a value that is not a positive integer is a
-usage error.
+Each command returns a :class:`Report`; :func:`main` prints it and holds the
+one mapping from failures to exit codes: 0 success, 1 verification
+mismatches, 2 usage errors (also a bad field spec or CYCLOKIT_MAX_Q found
+after parsing), 3 unmet mathematical preconditions, 4 size bounds exceeded.
+The environment variable CYCLOKIT_MAX_Q (default 1024) caps the field size
+for which the brute-force oracle is consulted; a value that is not a
+positive integer is a usage error.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
-
-import click
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 from . import moduli as moduli_mod
 from . import oracle, quadcyclo
@@ -51,6 +51,10 @@ from .roots import canonical
 DEFAULT_MAX_Q = 1024
 
 
+class _UsageError(Exception):
+    """A bad argument found after parsing; :func:`main` exits 2 with it."""
+
+
 def _max_q() -> int:
     raw = os.environ.get("CYCLOKIT_MAX_Q", "")
     if not raw.strip():
@@ -60,9 +64,7 @@ def _max_q() -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise click.UsageError(
-            f"CYCLOKIT_MAX_Q must be a positive integer, got {raw!r}"
-        )
+        raise _UsageError(f"CYCLOKIT_MAX_Q must be a positive integer, got {raw!r}")
     return value
 
 
@@ -76,21 +78,6 @@ class Report:
     oracle_checked: bool = False
     mismatches: list = dataclass_field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "field": self.field,
-            "results": self.results,
-            "oracle_checked": self.oracle_checked,
-            "mismatches": self.mismatches,
-        }
-
-
-def _emit(report: Report) -> None:
-    click.echo(json.dumps(report.to_json(), indent=2))
-    if report.mismatches:
-        sys.exit(1)
-
 
 def _parse_field_arg(spec: str) -> FieldProfile:
     try:
@@ -98,24 +85,7 @@ def _parse_field_arg(spec: str) -> FieldProfile:
     except SizeBoundError:
         raise
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-def _math_errors(fn):
-    """Map domain errors to the documented exit codes 3 and 4."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SizeBoundError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
-        except PreconditionError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
+        raise _UsageError(str(exc)) from exc
 
 
 def _oracle_refusal(field: FieldProfile) -> str | None:
@@ -253,18 +223,7 @@ def _generator_json(field: FieldProfile, n: int) -> dict:
     return doc
 
 
-@click.group()
-def main() -> None:
-    """Quadratic cyclotomic extensions: classification, moduli, verification."""
-
-
-@main.command()
-@click.option("--field", "field_spec", required=True, metavar="FIELD",
-              help="Base field: 'Q', 'q:<p>', or 'q:<p>^<k>'.")
-@click.option("--n", "n", required=True, type=click.IntRange(min=1),
-              help="Order of the root of unity to analyze.")
-@_math_errors
-def analyze(field_spec: str, n: int) -> None:
+def analyze(field_spec: str, n: int) -> Report:
     """Classification data of the n-th root of unity over the field."""
     field = _parse_field_arg(field_spec)
     degree = _degree(field, n)
@@ -290,20 +249,14 @@ def analyze(field_spec: str, n: int) -> None:
             c0, c1, _ = oracle.rational_min_poly(n)
             results["integer_min_poly"] = _render_int_poly(c0, c1)
         report.oracle_checked = checked
-    _emit(report)
+    return report
 
 
-@main.command("moduli")
-@click.option("--field", "field_spec", required=True, metavar="FIELD",
-              help="Base field: 'Q', 'q:<p>', or 'q:<p>^<k>'.")
-@click.option("--prime", "prime", type=click.IntRange(min=2), default=None,
-              help="Restrict to p-power roots of unity.")
-@_math_errors
-def moduli_command(field_spec: str, prime: int | None) -> None:
+def moduli_command(field_spec: str, prime: int | None) -> Report:
     """Moduli of quadratic cyclotomic extensions (global or per-prime)."""
     field = _parse_field_arg(field_spec)
     if prime is not None and not is_prime(prime):
-        raise click.UsageError(f"--prime must be prime, got {prime}")
+        raise _UsageError(f"--prime must be prime, got {prime}")
     if prime is not None:
         results = {
             "per_prime": moduli_mod.m2p(field, prime).to_json(),
@@ -319,16 +272,10 @@ def moduli_command(field_spec: str, prime: int | None) -> None:
             "s_max": moduli_mod.s_max(field).to_json(),
             "order_two": moduli_mod.g2(field).to_json(),
         }
-    _emit(Report("moduli", render_field(field), results))
+    return Report("moduli", render_field(field), results)
 
 
-@main.command()
-@click.option("--field", "field_spec", required=True, metavar="FIELD",
-              help="Finite base field: 'q:<p>' or 'q:<p>^<k>'.")
-@click.option("--max-n", "max_n", type=click.IntRange(min=1), default=None,
-              help="Check orders up to this bound (default: q^2 - 1).")
-@_math_errors
-def verify(field_spec: str, max_n: int | None) -> None:
+def verify(field_spec: str, max_n: int | None) -> Report:
     """Compare every formula against the brute-force oracle."""
     field = _parse_field_arg(field_spec)
     if field.is_rational:
@@ -372,14 +319,10 @@ def verify(field_spec: str, max_n: int | None) -> None:
             poly = quadcyclo.min_poly(field, n)
             mismatches.extend(_realize_min_poly(field, poly)[1])
     results = {"max_n": bound, "orders_checked": checked}
-    _emit(Report("verify", render_field(field), results, True, mismatches))
+    return Report("verify", render_field(field), results, True, mismatches)
 
 
-@main.command()
-@click.option("--field", "field_spec", required=True, metavar="FIELD",
-              help="Base field: 'Q', 'q:<p>', or 'q:<p>^<k>'.")
-@_math_errors
-def classify(field_spec: str) -> None:
+def classify(field_spec: str) -> Report:
     """Prime-set partition and quadratic-extension embedding data."""
     field = _parse_field_arg(field_spec)
     partition = moduli_mod.s_max(field)
@@ -396,8 +339,62 @@ def classify(field_spec: str) -> None:
         results["q"] = field.q
     if field.characteristic != 2:
         results["c2"] = quadcyclo.has_property_C2(field)
-    _emit(Report("classify", render_field(field), results))
+    return Report("classify", render_field(field), results)
+
+
+def _int_at_least(low: int):
+    """The argparse ``type=`` of an integer option whose values start at ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+
+    return parse
+
+
+def main(args: list[str] | None = None, prog_name: str = "cyclokit") -> None:
+    """The ``cyclokit`` entry point: parses ``args`` (default:
+    ``sys.argv[1:]``), runs one command and prints its JSON report.  Returns
+    on success; every failure raises SystemExit with its documented code."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=(
+        "Quadratic cyclotomic extensions: classification, moduli, verification."))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, field_help="Base field: 'Q', 'q:<p>', or 'q:<p>^<k>'."):
+        sub = commands.add_parser(name, help=run.__doc__, allow_abbrev=False)
+        sub.add_argument("--field", dest="field_spec", required=True,
+                         metavar="FIELD", help=field_help)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    command("analyze", analyze).add_argument(
+        "--n", required=True, type=_int_at_least(1),
+        help="Order of the root of unity to analyze.")
+    command("moduli", moduli_command).add_argument(
+        "--prime", type=_int_at_least(2), help="Restrict to p-power roots of unity.")
+    command("verify", verify, "Finite base field: 'q:<p>' or 'q:<p>^<k>'.").add_argument(
+        "--max-n", type=_int_at_least(1),
+        help="Check orders up to this bound (default: q^2 - 1).")
+    command("classify", classify)
+
+    options = vars(parser.parse_args(args))
+    run, sub = options.pop("run"), options.pop("parser")
+    try:
+        report = run(**options)
+    except _UsageError as exc:
+        sub.error(str(exc))
+    except (SizeBoundError, PreconditionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(4 if isinstance(exc, SizeBoundError) else 3)
+    print(json.dumps(asdict(report), indent=2))
+    if report.mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

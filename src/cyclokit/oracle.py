@@ -4,14 +4,14 @@ arithmetic over the rationals.
 This module uses none of the formula-based classification modules: orders
 are found by exhaustive scan, minimal polynomials by applying the q-power
 map, and rational minimal polynomials by expanding products in an explicit
-quotient ring.  It does import plain integer helpers from ``numtheory``
-(``factorize`` for the Rabin irreducibility test and the generator search,
-``euler_phi`` for the rational degree check, ``is_prime`` for argument
-checks) and the exponent-class types ``RootOfUnity`` and ``RootSum`` from
-``roots``, which :func:`evaluate_sum` realizes.  No formula module imports
-it, so ``import cyclokit`` does not load it: only the CLI, which realizes
-concrete values and cross-checks them, and the test suite do.  Agreement of
-the two layers is the point.
+quotient ring.  Its integer helpers are its own: trial division finds the
+primes of the small numbers it meets (q - 1 and p below the field bound, the
+degree k), and the rational degree check counts units.  From ``roots`` it
+takes only the exponent-class types ``RootOfUnity`` and ``RootSum``, which
+:func:`evaluate_sum` realizes.  No formula module imports it, so ``import
+cyclokit`` does not load it: only the CLI, which realizes concrete values
+and cross-checks them, and the test suite do.  Agreement of the two layers
+is the point.
 
 The q-power test ("is w fixed by x -> x^q?") never raises w to the q-th
 power.  x -> x^q is F_p-linear on coordinates, so each field memoises its
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from operator import mul
 
 from .errors import PreconditionError, SizeBoundError
-from .numtheory import euler_phi, factorize, is_prime
 from .roots import RootOfUnity, RootSum
 
 __all__ = [
@@ -63,6 +63,20 @@ __all__ = [
 
 #: Hard ceiling on explicit field sizes p^k.
 MAX_FIELD_SIZE = 1 << 20
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, by trial division (none for m < 2).
+    Every caller passes a number below the field bound, so the loop is short."""
+    primes = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return primes + [m] if m > 1 else primes
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +145,7 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     if _poly_powmod(x, p**k, f, p) != _poly_trim(list(x)):
         return False
     # ... and x^(p^(k/r)) - x must be coprime to f for every prime r | k.
-    for r, _ in factorize(k):
+    for r in _prime_factors(k):
         h = _poly_powmod(x, p ** (k // r), f, p)
         diff = list(h) + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
@@ -303,7 +317,7 @@ class ExplicitField:
             yield self.from_encoding(code)
 
     def _find_generator(self) -> FFElement:
-        order_primes = [r for r, _ in factorize(self.q - 1)] if self.q > 2 else []
+        order_primes = _prime_factors(self.q - 1)
         # Codes below p are prime-field constants: none generates a proper
         # extension's group.
         for code in range(self.p if self.k > 1 else 1, self.q):
@@ -323,12 +337,13 @@ def build_field(p: int, k: int) -> ExplicitField:
     Instances are immutable after construction and memoized: repeated calls
     with the same arguments return the identical field object.
     """
-    if not is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
+    # The size check comes first: it bounds the trial division below.
     if p**k > MAX_FIELD_SIZE:
         raise SizeBoundError(f"field size {p}^{k} exceeds the bound {MAX_FIELD_SIZE}")
+    if _prime_factors(p) != [p]:
+        raise ValueError(f"characteristic must be prime, got {p}")
     if k == 1:
         return ExplicitField(p, 1, (0, 1))  # modulus x: plain prime field
     for code in range(p**k):
@@ -605,16 +620,16 @@ def rational_min_poly(n: int) -> tuple[int, int, int]:
     """The monic quadratic satisfied by the primitive n-th root over the
     rationals, as ascending integer coefficients (c0, c1, 1).
 
-    Only defined when the extension has degree 2 (phi(n) = 2).  Computed by
-    expanding (x - z)(x - z^j) in the explicit cyclotomic ring, where j is
-    the unique nontrivial exponent coprime to n.
+    Only defined when the extension has degree 2 (phi(n) = 2, exactly two
+    units 1 and j below n; counting stops at a third).  Computed by expanding
+    (x - z)(x - z^j) in the explicit cyclotomic ring.
     """
-    if euler_phi(n) != 2:
+    units = list(islice((j for j in range(1, n) if gcd(j, n) == 1), 3))
+    if len(units) != 2:
         raise PreconditionError(f"degree over the rationals is phi({n}) != 2")
     ring = CycloRing(n)
-    j = next(j for j in range(2, n) if gcd(j, n) == 1)
     z1 = ring.zeta_power(1)
-    z2 = ring.zeta_power(j)
+    z2 = ring.zeta_power(units[1])
     trace = ring.as_rational(ring.add(z1, z2))
     norm = ring.as_rational(ring.mul(z1, z2))
     if trace is None or norm is None:  # pragma: no cover - sanity

@@ -9,9 +9,9 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import cyclokit
 import cyclokit.oracle as oracle_mod
@@ -20,9 +20,31 @@ from cyclokit.cli import main
 from cyclokit.numtheory import ResidueClass
 
 
+class Runner:
+    """Runs ``main(args)`` in-process, as the console script does, and
+    captures its stdout, stderr and SystemExit."""
+
+    def __init__(self, capsys, monkeypatch):
+        self.capsys, self.monkeypatch = capsys, monkeypatch
+
+    def invoke(self, command, args, env=None):
+        for name, value in (env or {}).items():
+            self.monkeypatch.setenv(name, value)
+        self.capsys.readouterr()
+        exception, exit_code = None, 0
+        try:
+            command(args)
+        except SystemExit as exc:
+            exception, exit_code = exc, exc.code
+        out, err = self.capsys.readouterr()
+        return SimpleNamespace(
+            exit_code=exit_code, stdout=out, stderr=err, exception=exception
+        )
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def runner(capsys, monkeypatch):
+    return Runner(capsys, monkeypatch)
 
 
 def invoke_json(runner, args, **kwargs):
@@ -205,6 +227,57 @@ def test_inputs_beyond_factorization_bound_exit_four(runner, args):
     assert isinstance(result.exception, SystemExit)
     assert "out of range" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["bogus"],
+        ["analyze", "--field", "q:5"],
+        ["analyze", "--field", "q:5", "--n", "0"],
+        ["analyze", "--field", "q:5", "--n", "abc"],
+        ["moduli", "--field", "q:5", "--prime", "1"],
+        ["verify", "--field", "q:5", "--max-n", "0"],
+        ["classify", "--field", "Q", "extra"],
+        ["analyze", "--fie", "q:5", "--n", "3"],
+    ],
+)
+def test_usage_errors_exit_two(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "usage:" in result.stderr.lower()
+    assert "Traceback" not in result.stderr
+
+
+def test_help_exits_zero(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    for command in ("analyze", "moduli", "verify", "classify"):
+        assert command in result.stdout
+
+
+def test_import_loads_only_the_standard_library():
+    # The package has no runtime dependencies: importing the CLI, in a fresh
+    # process, loads no module from outside the standard library but its own.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cyclokit.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'cyclokit'}))\n"
+    )
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 import cyclokit
+import cyclokit.oracle as oracle_mod
 
 from cyclokit import PreconditionError, SizeBoundError, euler_phi
 from cyclokit import RootSum, canonical, power
@@ -24,6 +26,7 @@ from cyclokit.oracle import (
     CycloRing,
     MAX_FIELD_SIZE,
     _frobenius,
+    _prime_factors,
     brute_min_poly,
     brute_moduli,
     brute_order,
@@ -56,6 +59,33 @@ def test_build_field_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_field(6, 1)
     assert 2**20 == MAX_FIELD_SIZE
+
+
+def test_oracle_binds_no_numtheory_function():
+    # The oracle checks the formula layer, so its integer helpers are its own.
+    bound = [
+        name
+        for name, obj in vars(oracle_mod).items()
+        if callable(obj) and getattr(obj, "__module__", None) == "cyclokit.numtheory"
+    ]
+    assert bound == []
+
+
+def test_prime_factors_by_first_principles():
+    for m in range(1, 1000):
+        divisors = [d for d in range(2, m + 1) if m % d == 0]
+        assert _prime_factors(m) == [d for d in divisors if all(d % e for e in range(2, d))]
+
+
+def test_large_inputs_are_refused_at_once():
+    # The unit count stops at a third unit, and build_field checks the size
+    # before its trial division: neither runs long on a big input.
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError):
+        rational_min_poly(10**18)
+    with pytest.raises(SizeBoundError):
+        build_field(2**61 - 1, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_field_axioms_sampled():
@@ -323,7 +353,7 @@ def test_verify_multiplication_count_stays_bounded():
         "FFElement.__mul__ = counted(FFElement.__mul__)\n"
         "FFElement.__rmul__ = counted(FFElement.__rmul__)\n"
         "from cyclokit.cli import main\n"
-        "main(['verify', '--field', 'q:3^5'], standalone_mode=False)\n"
+        "main(['verify', '--field', 'q:3^5'])\n"
         "print(calls[0], file=sys.stderr)\n"
     )
     package_root = Path(cyclokit.__file__).resolve().parents[1]
