@@ -8,6 +8,14 @@ power-sum recurrence.  All functions are pure and operate on plain integers
 (except :func:`waring_power_sum`, which accepts any commutative ring element
 supporting ``+``, ``-``, ``*`` with integers).
 
+:func:`factorize` divides by a table of the primes below 8000, built at
+import by a sieve.  The cofactor left over is prime when it is below the
+square of the largest table prime; otherwise deterministic Miller-Rabin
+decides it, and Brent's rho with batched gcds splits it when composite.
+Every quadratic cyclotomic datum over ``F_q`` is read off the divisors of
+``q^2 - 1``, so the same inputs recur: factorizations are memoised in a
+bounded cache behind the validating public function.
+
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.
 """
@@ -15,7 +23,8 @@ a value already reduced into ``[0, modulus)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 
 from .errors import SizeBoundError
 
@@ -37,9 +46,25 @@ __all__ = [
 #: Largest integer :func:`factorize` accepts (64-bit signed range).
 MAX_FACTOR_INPUT = 2**63 - 1
 
-# Trial division handles everything up to this bound; beyond it the remaining
-# cofactor is split with Miller-Rabin + Brent's rho.
-_TRIAL_BOUND = 1 << 20
+#: Distinct inputs whose factorizations :func:`factorize` keeps.
+_FACTORIZE_CACHE_SIZE = 4096
+
+#: Steps of Brent's rho between two gcds.
+_RHO_BATCH = 128
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
+#: The trial divisors of :func:`factorize`: the 1,007 primes below 8000.
+_SMALL_PRIMES = _primes_below(8000)
 
 
 @dataclass(frozen=True)
@@ -85,19 +110,37 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of a composite n with no prime factor in the table.
+
+    Brent's variant of Pollard's rho (R. P. Brent, BIT 20 (1980) 176-184):
+    the cycle search compares ``x`` with the iterates of ``y`` over windows
+    of doubling length, and the differences are multiplied together mod n so
+    that one gcd serves :data:`_RHO_BATCH` steps.  When a batch's gcd is n,
+    the steps of that batch are replayed one gcd at a time.  Polynomials
+    ``x^2 + c`` are tried for ``c = 1, 2, ...`` until one splits n.
+    """
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = gcd(acc, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
     raise ArithmeticError(f"rho failed to factor {n}")  # pragma: no cover
 
 
@@ -105,7 +148,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Return the prime factorization of n as (prime, exponent) pairs.
 
     Pairs are sorted by ascending prime; ``factorize(1) == []``.  Inputs
-    above :data:`MAX_FACTOR_INPUT` raise :class:`SizeBoundError`.
+    above :data:`MAX_FACTOR_INPUT` raise :class:`SizeBoundError`.  Results
+    are memoised; each call returns a fresh list.
     """
     if n < 1:
         raise ValueError(f"factorize input out of range: {n}")
@@ -114,24 +158,32 @@ def factorize(n: int) -> list[tuple[int, int]]:
             f"factorize input out of range: {n.bit_length()} bits,"
             f" above {MAX_FACTOR_INPUT}"
         )
+    return list(_factorize(n))
+
+
+@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of a validated n, immutable because the memo shares it."""
     factors: dict[int, int] = {}
     rest = n
-    for d in range(2, _TRIAL_BOUND + 1):
-        if d * d > rest:
+    for p in _SMALL_PRIMES:
+        if p * p > rest:
             break
-        while rest % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            rest //= d
-    # Split whatever survives trial division (product of primes > 2^20).
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
+    # Every number on the stack divides what the table left, so it has no
+    # prime factor in the table: below the square of the largest table prime
+    # it is prime.
     stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m < _SMALL_PRIMES[-1] ** 2 or is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:
             d = _brent_rho(m)
             stack.extend((d, m // d))
-    return sorted(factors.items())
+    return tuple(sorted(factors.items()))
 
 
 def eps(n: int, p: int) -> int:

@@ -9,7 +9,7 @@ are exercised as properties.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclokit import (
     MAX_FACTOR_INPUT,
@@ -26,6 +26,7 @@ from cyclokit import (
     squarefree_kernel,
     waring_power_sum,
 )
+from cyclokit import numtheory
 from cyclokit.oracle import build_field
 
 from conftest import prime_powers
@@ -56,20 +57,108 @@ def test_factorize_refuses_inputs_above_the_bound_as_size_errors():
         factorize(MAX_FACTOR_INPUT + 1)
 
 
-@given(st.integers(min_value=1, max_value=10**6))
-def test_factorize_reconstructs_argument(n):
+def _assert_is_factorization(n, factors):
     prod = 1
-    for p, e in factorize(n):
+    for p, e in factors:
         assert is_prime(p)
         assert e >= 1
         prod *= p**e
     assert prod == n
+    ps = [p for p, _ in factors]
+    assert all(a < b for a, b in zip(ps, ps[1:]))
+
+
+@given(st.integers(min_value=1, max_value=10**6))
+def test_factorize_reconstructs_argument(n):
+    _assert_is_factorization(n, factorize(n))
+
+
+# No deadline: a repeated example is answered from the memo, so its time
+# says nothing about the first run's.
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=MAX_FACTOR_INPUT))
+def test_factorize_reconstructs_any_accepted_argument(n):
+    _assert_is_factorization(n, factorize(n))
+
+
+# Cofactors past the trial-division table (primes below 8000), so each is
+# split by rho: squares and products of primes just past the table, a prime
+# cube, squares of 31- and 32-bit primes, and two 31-bit primes.
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (8009**2, [(8009, 2)]),
+        (8009 * 8011 * 8017, [(8009, 1), (8011, 1), (8017, 1)]),
+        (1000003**3, [(1000003, 3)]),
+        ((2**31 - 1) ** 2, [(2**31 - 1, 2)]),
+        (3037000493**2, [(3037000493, 2)]),
+        ((2**31 - 1) * (2**31 - 19), [(2**31 - 19, 1), (2**31 - 1, 1)]),
+        (2**62 - 1, [(3, 1), (715827883, 1), (2**31 - 1, 1)]),
+    ],
+)
+def test_factorize_splits_cofactors_past_the_table(n, want):
+    assert factorize(n) == want
+    _assert_is_factorization(n, want)
+
+
+def test_factorize_result_is_a_fresh_list():
+    n = 2**62 - 1
+    first = factorize(n)
+    first.append((5, 1))
+    first[0] = (2, 9)
+    assert factorize(n) == [(3, 1), (715827883, 1), (2**31 - 1, 1)]
+
+
+def test_repeated_orders_are_served_from_the_factorization_memo():
+    q = 2**31 - 1
+    n = q * q - 1
+    assert mult_order(q, n) == 2
+    before = numtheory._factorize.cache_info()
+    for _ in range(3):
+        assert mult_order(q, n) == 2
+    after = numtheory._factorize.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+def test_inputs_above_the_bound_never_reach_the_memo():
+    before = numtheory._factorize.cache_info()
+    for n in (MAX_FACTOR_INPUT + 1, 2**64 - 1, 10**30):
+        with pytest.raises(SizeBoundError):
+            factorize(n)
+    after = numtheory._factorize.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize)
 
 
 def test_factorize_primes_strictly_increasing():
     for n in range(2, 2000):
         ps = [p for p, _ in factorize(n)]
         assert ps == sorted(set(ps))
+
+
+def _sieve(limit):
+    flags = [True] * limit
+    flags[0] = flags[1] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, limit, p))
+    return flags
+
+
+def test_is_prime_agrees_with_a_sieve():
+    flags = _sieve(10**5)
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n, flag in enumerate(flags) if flag]
+
+
+# Carmichael numbers fool the Fermat test; 3215031751 is a strong
+# pseudoprime to bases 2, 3, 5 and 7, and 3825123056546413051 to every
+# prime base up to 23.
+@pytest.mark.parametrize(
+    "n", [561, 41041, 825265, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
 
 
 def test_eps_frozen_values():
