@@ -136,15 +136,14 @@ def _values_json(values) -> list:
             for v in values]
 
 
-def _realize_min_poly(
+def _check_min_poly(
     field: FieldProfile, poly: quadcyclo.QuadMinPoly
-) -> tuple[dict, list[dict], bool]:
-    """The JSON of ``poly`` with its coefficients' values in the oracle's
-    F_(q^2) when q^2 is within the field bound; the mismatch records against
-    the oracle's own minimal polynomial (the q-power map over a finite field,
-    the cyclotomic ring over the rationals); and whether the oracle gate let
-    that check run."""
-    doc = poly.to_json()
+) -> tuple[tuple | None, list[dict], bool]:
+    """The values of ``poly``'s coefficients in the oracle's F_(q^2) (None
+    when q^2 exceeds the field bound; exact rationals over Q); the mismatch
+    records against the oracle's own minimal polynomial (the q-power map over
+    a finite field, the cyclotomic ring over the rationals); and whether the
+    oracle gate let that check run."""
     n = poly.n
     mismatches = []
     if field.is_rational:
@@ -157,14 +156,13 @@ def _realize_min_poly(
     else:
         ext = _quadratic_extension(field)
         if ext is None:
-            return doc, [], False
+            return None, [], False
         formula = (
             oracle.evaluate_sum(ext, poly.trace_coeff),
             oracle.evaluate_sum(ext, poly.norm_coeff),
         )
-        doc["trace_concrete"], doc["norm_concrete"] = _values_json(formula)
         if _oracle_refusal(field) is not None:
-            return doc, [], False
+            return formula, [], False
         frobenius = field.q % n
         if poly.yogh.value != frobenius:
             mismatches.append(
@@ -177,7 +175,7 @@ def _realize_min_poly(
             {"n": n, "check": "min_poly_concrete", "formula": _values_json(formula),
              "oracle": _values_json(truth)}
         )
-    return doc, mismatches, True
+    return formula, mismatches, True
 
 
 def _kappa_json(field: FieldProfile, n: int) -> dict:
@@ -239,7 +237,10 @@ def analyze(field_spec: str, n: int) -> Report:
     if degree == 2:
         poly = quadcyclo.min_poly(field, n)
         results["t_nF"] = quadcyclo.t_nF(field, n)
-        results["min_poly"], report.mismatches, checked = _realize_min_poly(field, poly)
+        values, report.mismatches, checked = _check_min_poly(field, poly)
+        doc = results["min_poly"] = poly.to_json()
+        if values is not None and not field.is_rational:
+            doc["trace_concrete"], doc["norm_concrete"] = _values_json(values)
         results["min_poly_rendered"] = poly.render()
         if poly.shape is not None:
             results["trace_shape"] = poly.shape.render()
@@ -317,7 +318,7 @@ def verify(field_spec: str, max_n: int | None) -> Report:
                                "oracle": order_brute == 2})
         if quadratic_formula:
             poly = quadcyclo.min_poly(field, n)
-            mismatches.extend(_realize_min_poly(field, poly)[1])
+            mismatches.extend(_check_min_poly(field, poly)[1])
     results = {"max_n": bound, "orders_checked": checked}
     return Report("verify", render_field(field), results, True, mismatches)
 

@@ -13,13 +13,15 @@ cyclokit`` does not load it: only the CLI, which realizes concrete values
 and cross-checks them, and the test suite do.  Agreement of the two layers
 is the point.
 
+An element of an explicit field is one packed int, and a product is one
+big-int multiplication and a Barrett reduction (see :class:`ExplicitField`).
 The q-power test ("is w fixed by x -> x^q?") never raises w to the q-th
 power.  x -> x^q is F_p-linear on coordinates, so each field memoises its
-matrix once: the columns are the images of the basis 1, x, ..., x^(K-1),
-computed with the field's own multiplication, and a test is one
-matrix-vector product.  The scans then step by one multiplication per
-candidate.  No exponent or discrete-logarithm arithmetic enters, which
-would be the formula layer's own reasoning.
+matrix once: the columns are the images of the basis 1, x, ..., x^(k-1),
+computed with the field's own multiplication, packed by rows so that a test
+is one product.  The scans then step by one multiplication per candidate.
+No exponent or discrete-logarithm arithmetic enters, which would be the
+formula layer's own reasoning.
 
 Determinism: a field is always built on the lexicographically smallest monic
 irreducible modulus (scanning ascending integer encodings of the coefficient
@@ -36,9 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import gcd
-from operator import mul
 
 from .errors import PreconditionError, SizeBoundError
 from .roots import RootOfUnity, RootSum
@@ -80,188 +81,74 @@ def _prime_factors(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over the prime field (little-endian int tuples)
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    # Coefficients are reduced mod p only where a leading term is cancelled
-    # and once at the end.
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    # reduce modulo the monic polynomial `mod`
-    deg = len(mod) - 1
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(deg):
-                prod[i - deg + j] -= c * mod[j]
-    return _poly_trim([c % p for c in prod[:deg]])
-
-
-def _poly_powmod(base: tuple[int, ...], e: int, mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    cur = base
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, cur, mod, p)
-        cur = _poly_mulmod(cur, cur, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    while b:
-        # a mod b with b made monic
-        inv_lead = pow(b[-1], -1, p)
-        bm = tuple(c * inv_lead % p for c in b)
-        r = list(a)
-        while len(r) >= len(bm) and any(r):
-            if r[-1]:
-                c = r[-1]
-                for j in range(len(bm)):
-                    r[len(r) - len(bm) + j] = (r[len(r) - len(bm) + j] - c * bm[j]) % p
-            r.pop()
-        a, b = b, _poly_trim(r)
-    return a
-
-
-def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial of degree >= 1 over the prime field."""
-    k = len(f) - 1
-    x = (0, 1)
-    # x^(p^k) must equal x ...
-    if _poly_powmod(x, p**k, f, p) != _poly_trim(list(x)):
-        return False
-    # ... and x^(p^(k/r)) - x must be coprime to f for every prime r | k.
-    for r in _prime_factors(k):
-        h = _poly_powmod(x, p ** (k // r), f, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(f, _poly_trim(diff), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Explicit finite fields
 # ---------------------------------------------------------------------------
 
 
-class FFElement:
-    """An element of an :class:`ExplicitField`, as a coefficient vector.
+def _arithmetic(op):
+    """An FFElement operator from op(field, value, other's value) -> value."""
 
-    Coefficients are little-endian modulo the field's defining polynomial.
+    def method(self, other):
+        o = self._value_of(other)
+        return NotImplemented if o is None else FFElement(self.field, op(self.field, self.value, o))
+
+    return method
+
+
+class FFElement:
+    """An element of an :class:`ExplicitField`: ``value`` is the field's
+    packed int (see there), ``coeffs`` the little-endian coefficient vector
+    modulo the defining polynomial that it packs.
+
     Arithmetic coerces plain integers, so mixed expressions like ``z * 2 - 1``
     work.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "value")
 
-    def __init__(self, field: "ExplicitField", coeffs: tuple[int, ...]):
+    def __init__(self, field: "ExplicitField", value: int):
         self.field = field
-        self.coeffs = coeffs
+        self.value = value
 
-    def _coerce(self, other) -> "FFElement | None":
-        if isinstance(other, FFElement):
-            return other if other.field == self.field else None
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.field._coords(self.value)
+
+    def _value_of(self, other) -> int | None:
+        """The packed value of other in this field, or None."""
         if isinstance(other, int):
-            return self.field.from_int_mod(other)
+            return other % self.field.p
+        if isinstance(other, FFElement) and other.field == self.field:
+            return other.value
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return FFElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)),
-        )
-
-    __radd__ = __add__
+    __add__ = __radd__ = _arithmetic(lambda E, a, b: E._slotmod(a + b))
+    __sub__ = _arithmetic(lambda E, a, b: E._sub(a, b))
+    __rsub__ = _arithmetic(lambda E, a, b: E._sub(b, a))
+    __mul__ = __rmul__ = _arithmetic(lambda E, a, b: E._mul(a, b))
+    __truediv__ = _arithmetic(lambda E, a, b: E._mul(a, E._inverse(b)))
+    __rtruediv__ = _arithmetic(lambda E, a, b: E._mul(b, E._inverse(a)))
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple(-a % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        field = self.field
-        prod = _poly_mulmod(self.coeffs, o.coeffs, field.modulus, field.p)
-        return FFElement(field, prod + (0,) * (field.k - len(prod)))
-
-    __rmul__ = __mul__
+        return FFElement(self.field, self.field._sub(0, self.value))
 
     def __pow__(self, e: int):
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = self.field.one
-        cur = base
-        while e:
-            if e & 1:
-                result = result * cur
-            cur = cur * cur
-            e >>= 1
-        return result
+        E = self.field
+        return FFElement(E, E._pow(self.value if e >= 0 else E._inverse(self.value), abs(e)))
 
     def inverse(self) -> "FFElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return FFElement(self.field, self.field._inverse(self.value))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.value == 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        o = self._value_of(other)
+        return NotImplemented if o is None else self.value == o
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
+        return hash((self.field.p, self.field.k, self.value))
 
     def to_int(self) -> int:
         """Integer encoding: sum of coeff_i * p^i."""
@@ -272,62 +159,145 @@ class FFElement:
 
     def value_repr(self) -> int | list[int]:
         """JSON-friendly value: an int for prime fields, else the vector."""
-        return self.coeffs[0] if self.field.k == 1 else list(self.coeffs)
+        return self.value if self.field.k == 1 else list(self.coeffs)
 
     def __repr__(self):
         return f"FF({self.field.p}^{self.field.k}:{list(self.coeffs)})"
 
 
 class ExplicitField:
-    """The finite field with p^k elements on a deterministic modulus."""
+    """The ring F_p[x]/(f) for a monic f of degree k: the field with p^k
+    elements on a deterministic modulus, as :func:`build_field` returns it.
+
+    An element is one int.  Coefficient i sits in slot i, bits [i*W, (i+1)*W),
+    and the slot width W leaves room for every sum made before a reduction,
+    so one big-int product of two elements is their polynomial product with
+    each slot an exact integer coefficient (Kronecker substitution).  Every
+    slot is reduced mod p at once: by a mask when p = 2, else by a Barrett
+    step, floor(v/p) = (v*m) >> t, whose bits from the next slot are masked
+    off.  The reduction mod f is Barrett's quotient, exact for polynomials:
+    with mu = floor(x^(2k)/f), the quotient of A = a*b is
+    floor(floor(A/x^k) * mu / x^k).
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.k = k
-        self.q = p**k
+        self.p, self.k, self.q = p, k, p**k
         self.modulus = modulus  # monic, little-endian, length k+1
-        self.zero = FFElement(self, (0,) * k)
-        self.one = self.from_int_mod(1)
-        self.generator = self._find_generator()
+        bound = 2 * k * (p - 1) ** 2 + p  # no slot reduced below exceeds it
+        t = (bound * p).bit_length()  # (v*m) >> t is exact for v <= bound
+        m = -(-(1 << t) // p)
+        # A slot holds v*m for the Barrett step; p = 2 masks instead
+        self._width = width = (bound * (m if p > 2 else 1)).bit_length()
+        self._kw, self._slot = k * width, (1 << width) - 1
+        # 1 in each of the 2k^2 slots that _frobenius_matrix's product fills
+        self._ones = ones = ((1 << (2 * k * k * width)) - 1) // self._slot
+        # p = 2 masks, so its quotient mask is 0
+        self._barrett = (p, m, t, ones * ((1 << max(width - t, 0)) - 1))
+        # A multiple of p in every slot of a product, above any slot of
+        # quotient * f, so that subtracting it leaves no slot negative
+        self._pad = self._pack([-(-k * (p - 1) ** 2 // p) * p] * (2 * k))
+        rem, mu = [0] * (2 * k) + [1], [0] * (k + 1)  # x^(2k) = mu*f + rem
+        for i in range(k, -1, -1):
+            c = mu[i] = rem[i + k] % p
+            for j, fj in enumerate(modulus):
+                rem[i + j] -= c * fj
+        self._mu, self._f = self._pack(mu), self._pack(modulus)
+        self.zero, self.one = FFElement(self, 0), FFElement(self, 1)
+        self._generator = None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExplicitField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+        return self is other or (
+            isinstance(other, ExplicitField) and (self.p, self.modulus) == (other.p, other.modulus)
         )
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
 
+    def _pack(self, coeffs) -> int:
+        return sum(c << (i * self._width) for i, c in enumerate(coeffs))
+
+    def _coords(self, a: int) -> tuple[int, ...]:
+        return tuple((a >> s) & self._slot for s in range(0, self._kw, self._width))
+
+    def _slotmod(self, x: int) -> int:
+        """Every slot of x (none above the bound) mod p."""
+        if self.p == 2:
+            return x & self._ones
+        p, m, t, quotient_mask = self._barrett
+        return x - p * (((x * m) >> t) & quotient_mask)
+
+    def _sub(self, a: int, b: int) -> int:
+        return self._slotmod(a + self._pad - b)
+
+    def _mul(self, a: int, b: int) -> int:
+        """The product: one big-int multiplication, then A - quotient * f
+        with Barrett's quotient, whose high slots come out 0 mod p."""
+        x = a * b
+        h = x >> self._kw
+        if h:
+            slotmod = self._slotmod
+            x += self._pad - slotmod((slotmod(h) * self._mu) >> self._kw) * self._f
+        return self._slotmod(x)
+
+    def _pow(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._mul(result, a)
+            e >>= 1
+            if e:
+                a = self._mul(a, a)
+        return result
+
+    def _inverse(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        return self._pow(a, self.q - 2)
+
+    def _is_irreducible(self) -> bool:
+        """Rabin's test of the modulus (degree k >= 2) on this product:
+        x^(p^k) = x, and x^(p^(k/r)) - x is a unit for every prime r | k.
+        Once x^(p^k) = x, the ring is a product of fields F_(p^d) with d | k,
+        so u is a unit exactly when u^(p^k - 1) = 1."""
+        x = 1 << self._width
+        return self._pow(x, self.q) == x and all(
+            self._pow(self._sub(self._pow(x, self.p ** (self.k // r)), x), self.q - 1) == 1
+            for r in _prime_factors(self.k)
+        )
+
     def from_int_mod(self, value: int) -> FFElement:
         """The image of an integer (a prime-field constant)."""
-        return FFElement(self, (value % self.p,) + (0,) * (self.k - 1))
+        return FFElement(self, value % self.p)
 
     def from_encoding(self, code: int) -> FFElement:
         """The element whose coefficient vector is the base-p digits of code."""
-        digits = []
-        for _ in range(self.k):
-            digits.append(code % self.p)
-            code //= self.p
-        return FFElement(self, tuple(digits))
+        return FFElement(self, self._pack(code // self.p**i % self.p for i in range(self.k)))
 
     def elements(self):
         """Iterate all q elements in encoding order."""
-        for code in range(self.q):
-            yield self.from_encoding(code)
+        return map(self.from_encoding, range(self.q))
 
-    def _find_generator(self) -> FFElement:
-        order_primes = _prime_factors(self.q - 1)
-        # Codes below p are prime-field constants: none generates a proper
-        # extension's group.
-        for code in range(self.p if self.k > 1 else 1, self.q):
-            g = self.from_encoding(code)
-            if all(g ** ((self.q - 1) // r) != self.one for r in order_primes):
-                return g
-        raise ArithmeticError("no generator found")  # pragma: no cover
+    @property
+    def generator(self) -> FFElement:
+        """The smallest generator of the multiplicative group, found on first
+        use.  Codes below p are prime-field constants: none generates a proper
+        extension's group."""
+        if self._generator is None:
+            cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
+            self._generator = next(
+                g for g in map(self.from_encoding, range(self.p if self.k > 1 else 1, self.q))
+                if all(self._pow(g.value, c) != 1 for c in cofactors)
+            )
+        return self._generator
 
     def __repr__(self):
         return f"ExplicitField({self.p}^{self.k})"
+
+
+def _exceeds_bound(p: int, k: int) -> bool:
+    """Whether p^k > MAX_FIELD_SIZE, by bit length first: no huge power is
+    computed."""
+    return (p.bit_length() - 1) * k >= MAX_FIELD_SIZE.bit_length() or p**k > MAX_FIELD_SIZE
 
 
 @lru_cache(maxsize=None)
@@ -340,21 +310,17 @@ def build_field(p: int, k: int) -> ExplicitField:
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
     # The size check comes first: it bounds the trial division below.
-    if p**k > MAX_FIELD_SIZE:
+    if _exceeds_bound(p, k):
         raise SizeBoundError(f"field size {p}^{k} exceeds the bound {MAX_FIELD_SIZE}")
     if _prime_factors(p) != [p]:
         raise ValueError(f"characteristic must be prime, got {p}")
     if k == 1:
         return ExplicitField(p, 1, (0, 1))  # modulus x: plain prime field
-    for code in range(p**k):
-        digits = []
-        c = code
-        for _ in range(k):
-            digits.append(c % p)
-            c //= p
-        candidate = tuple(digits) + (1,)
-        if _is_irreducible(candidate, p):
-            return ExplicitField(p, k, candidate)
+    # Ascending codes: the leading digit of `digits` is the coefficient of x^(k-1).
+    for digits in product(range(p), repeat=k):
+        candidate = ExplicitField(p, k, digits[::-1] + (1,))
+        if candidate._is_irreducible():
+            return candidate
     raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -383,27 +349,34 @@ def evaluate_sum(E: ExplicitField, s: RootSum) -> FFElement:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_matrix(E: ExplicitField, q: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix of the F_p-linear map x -> x^q on E, as a tuple of rows.
+def _frobenius_matrix(E: ExplicitField, q: int) -> tuple[int, int]:
+    """The matrix of x -> x^q minus the identity on E, packed so that one
+    product applies it, and the mask of the slots that hold the result.
 
     The map is F_p-linear only when q is a power of the characteristic p,
-    which every caller passes.  Column j is the image of the basis element x^j, namely (x^q)^j, built by
-    repeated multiplication from one q-th power of x.
+    which every caller passes.  Column j is the image of the basis element
+    x^j, namely (x^q)^j, built by repeated multiplication from one q-th power
+    of x.  Row r, reversed, sits in block r of 2k-1 slots, so in
+    ``a * rows`` the middle slot of block r is coordinate r of a^q - a.
     """
-    xq = E.from_encoding(E.p) ** q if E.k > 1 else E.one
-    columns = [E.one]
-    for _ in range(1, E.k):
-        columns.append(columns[-1] * xq)
-    return tuple(zip(*(c.coeffs for c in columns)))
+    k, width = E.k, E._width
+    block, mid = (2 * k - 1) * width, (k - 1) * width
+    xq, column, rows, mids = E._pow(1 << width, q), 1, 0, 0
+    for j in range(k):
+        for r, coeff in enumerate(E._coords(column)):
+            rows += ((coeff - (r == j)) % E.p) << (r * block + mid - j * width)
+        mids += E._slot << (j * block + mid)
+        column = E._mul(column, xq)
+    return rows, mids
 
 
 def _frobenius(w: FFElement, q: int) -> FFElement:
-    """w^q, as the memoised matrix of x -> x^q applied to w's coordinates."""
+    """w^q, as the memoised matrix of x -> x^q applied to w by one product."""
     E = w.field
-    p, coeffs = E.p, w.coeffs
-    return FFElement(
-        E, tuple(sum(map(mul, row, coeffs)) % p for row in _frobenius_matrix(E, q))
-    )
+    y = w.value * _frobenius_matrix(E, q)[0]
+    block, mid = (2 * E.k - 1) * E._width, (E.k - 1) * E._width
+    moved = E._pack((y >> (r * block + mid)) & E._slot for r in range(E.k))
+    return FFElement(E, E._slotmod(moved + w.value))
 
 
 def brute_order(p: int, k: int, n: int) -> int:
@@ -413,13 +386,13 @@ def brute_order(p: int, k: int, n: int) -> int:
     where membership is tested literally as being fixed by the q-power map.
     """
     E2 = build_field(p, 2 * k)
-    zeta = find_root_of_unity(E2, n)
-    q = p**k
+    zeta = find_root_of_unity(E2, n).value
+    (rows, mids), mul, slotmod = _frobenius_matrix(E2, p**k), E2._mul, E2._slotmod
     w = zeta
     for t in range(1, n + 1):
-        if _frobenius(w, q) == w:
+        if not slotmod((w * rows) & mids):  # w^q - w = 0
             return t
-        w = w * zeta
+        w = mul(w, zeta)
     raise ArithmeticError("order scan failed")  # pragma: no cover
 
 
@@ -450,20 +423,19 @@ def brute_moduli(p: int, k: int) -> set[tuple[int, int]]:
     keeps those not fixed by the q-power map.  The pair (n, j) identifies the
     element zeta_n^j under the deterministic embedding.
     """
-    q = p**k
-    if q * q > MAX_FIELD_SIZE:
-        raise SizeBoundError(f"field size {q}^2 exceeds the bound {MAX_FIELD_SIZE}")
+    if _exceeds_bound(p, 2 * k):
+        raise SizeBoundError(f"field size ({p}^{k})^2 exceeds the bound {MAX_FIELD_SIZE}")
     E2 = build_field(p, 2 * k)
-    g = E2.generator
+    g = E2.generator.value
+    (rows, mids), mul, slotmod = _frobenius_matrix(E2, p**k), E2._mul, E2._slotmod
     big = E2.q - 1
     result: set[tuple[int, int]] = set()
-    w = E2.one
+    w = 1
     for i in range(big):
-        if i > 0 and _frobenius(w, q) != w:
+        if i > 0 and slotmod((w * rows) & mids):  # w^q - w != 0
             step = gcd(i, big)
-            n = big // step
-            result.add((n, i // step))
-        w = w * g
+            result.add((big // step, i // step))
+        w = mul(w, g)
     return result
 
 

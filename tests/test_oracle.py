@@ -16,6 +16,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclokit
 import cyclokit.oracle as oracle_mod
@@ -337,23 +338,22 @@ def test_brute_scans_agree_with_literal_powers(p, k):
     assert brute_moduli(p, k) == _literal_moduli(p, k)
 
 
-def test_verify_multiplication_count_stays_bounded():
-    """A deterministic cost guard: count FFElement products made by one
-    `verify --field q:3^5` in a fresh process (no warm caches).  A scan that
-    went back to literal q-th powers makes about 38,600."""
+def _verify_product_count(field_spec):
+    """Run `verify --field field_spec` in a fresh process (no warm caches),
+    counting calls of the oracle's one packed-product primitive,
+    ExplicitField._mul, which every FFElement product, power and scan step
+    goes through.  Requires a passing run and returns the count."""
     counter = (
         "import sys\n"
-        "from cyclokit.oracle import FFElement\n"
+        "from cyclokit.oracle import ExplicitField\n"
         "calls = [0]\n"
-        "def counted(fn):\n"
-        "    def wrapper(a, b):\n"
-        "        calls[0] += 1\n"
-        "        return fn(a, b)\n"
-        "    return wrapper\n"
-        "FFElement.__mul__ = counted(FFElement.__mul__)\n"
-        "FFElement.__rmul__ = counted(FFElement.__rmul__)\n"
+        "product = ExplicitField._mul\n"
+        "def counted(field, a, b):\n"
+        "    calls[0] += 1\n"
+        "    return product(field, a, b)\n"
+        "ExplicitField._mul = counted\n"
         "from cyclokit.cli import main\n"
-        "main(['verify', '--field', 'q:3^5'])\n"
+        f"main(['verify', '--field', {field_spec!r}])\n"
         "print(calls[0], file=sys.stderr)\n"
     )
     package_root = Path(cyclokit.__file__).resolve().parents[1]
@@ -366,7 +366,100 @@ def test_verify_multiplication_count_stays_bounded():
     )
     assert proc.returncode == 0, proc.stderr
     assert '"mismatches": []' in proc.stdout
-    assert int(proc.stderr.split()[-1]) <= 8000
+    return int(proc.stderr.split()[-1])
+
+
+def test_verify_multiplication_count_stays_bounded():
+    """A deterministic cost guard: the packed products made by one
+    `verify --field q:3^5` (3,405, building the field included).  An order
+    scan that went back to literal powers (zeta**t)**q makes about 34,200."""
+    assert _verify_product_count("q:3^5") <= 8000
+
+
+@pytest.mark.parametrize("field_spec, measured", [("q:2^10", 12342), ("q:7^3", 6157),
+                                                  ("q:17^2", 15073)])
+def test_large_degree_verify_product_counts(field_spec, measured):
+    # Fields of large degree that the benchmark's verify workload leaves
+    # out: each check passes, and the product count stays within 10 % of
+    # the count measured when this guard was set.
+    assert _verify_product_count(field_spec) <= measured * 11 // 10
+
+
+# ---------------------------------------------------------------------------
+# packed arithmetic against a schoolbook reference
+# ---------------------------------------------------------------------------
+
+
+def _schoolbook_mul(a, b, modulus, p):
+    """The product of coefficient tuples modulo a monic polynomial over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    k = len(modulus) - 1
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i] % p
+        for j, m in enumerate(modulus):
+            prod[i - k + j] -= c * m
+    return tuple(c % p for c in prod[:k])
+
+
+def _schoolbook_pow(a, e, modulus, p):
+    result = (1,) + (0,) * (len(a) - 1)
+    while e:
+        if e & 1:
+            result = _schoolbook_mul(result, a, modulus, p)
+        a = _schoolbook_mul(a, a, modulus, p)
+        e >>= 1
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(2, 20), (2, 10), (3, 12), (3, 5), (7, 3), (17, 2), (1021, 2), (1021, 1)]),
+    st.data(),
+)
+def test_packed_arithmetic_matches_schoolbook_reference(pk, data):
+    p, k = pk
+    E = build_field(p, k)
+    vectors = st.lists(st.integers(0, p - 1), min_size=k, max_size=k).map(tuple)
+    a, b = data.draw(vectors), data.draw(vectors)
+    x, y = (E.from_encoding(sum(c * p**i for i, c in enumerate(v))) for v in (a, b))
+    assert (x.coeffs, y.coeffs) == (a, b)
+    assert (x + y).coeffs == tuple((u + v) % p for u, v in zip(a, b))
+    assert (x - y).coeffs == tuple((u - v) % p for u, v in zip(a, b))
+    assert (x * y).coeffs == _schoolbook_mul(a, b, E.modulus, p)
+    e = data.draw(st.integers(0, E.q))
+    assert (x**e).coeffs == _schoolbook_pow(a, e, E.modulus, p)
+    j = data.draw(st.integers(1, k))
+    assert _frobenius(x, p**j).coeffs == _schoolbook_pow(a, p**j, E.modulus, p)
+    if x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert _schoolbook_mul(a, x.inverse().coeffs, E.modulus, p) == E.one.coeffs
+
+
+def test_oversized_fields_are_refused_before_computing_them():
+    # The size is checked by bit length first: 3**(10**9) is never computed.
+    code = (
+        "from cyclokit import SizeBoundError\n"
+        "from cyclokit.oracle import brute_moduli, build_field\n"
+        "for call in (build_field, brute_moduli):\n"
+        "    try:\n"
+        "        call(3, 10**9)\n"
+        "    except SizeBoundError:\n"
+        "        print('refused')\n"
+    )
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.stdout.split() == ["refused", "refused"], proc.stderr
 
 
 def test_import_cyclokit_leaves_the_oracle_unloaded():
