@@ -9,8 +9,8 @@ already lies in the field, and {1, yogh} in the quadratic case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .field_profile import FieldProfile, contains_root
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnitGroup:
+class UnitGroup(NamedTuple):
     """The unit group (Z/n)* as an explicit ordered tuple of residues."""
 
     modulus: int
@@ -42,8 +41,7 @@ class UnitGroup:
         return item.modulus == self.modulus and item in self.elements
 
 
-@dataclass(frozen=True)
-class FixingSubgroup:
+class FixingSubgroup(NamedTuple):
     """The subgroup of (Z/n)* of exponents acting trivially on m-th roots."""
 
     modulus: int
@@ -89,5 +87,5 @@ def galois_image(field: FieldProfile, n: int) -> tuple[ResidueClass, ...]:
         return (ResidueClass(1 % n, n),)
     if is_quadratic(field, n):
         k = yogh(field, n)
-        return tuple(sorted((ResidueClass(1 % n, n), k), key=lambda r: r.value))
+        return tuple(sorted((ResidueClass(1 % n, n), k)))
     raise PreconditionError(f"extension by the {n}-th root has degree above 2")

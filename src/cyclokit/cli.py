@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dataclass_field
 
 from . import moduli as moduli_mod
 from . import oracle, quadcyclo
@@ -68,15 +67,15 @@ def _max_q() -> int:
     return value
 
 
-@dataclass
 class Report:
-    """One command's JSON-serializable result envelope."""
+    """One command's JSON-serializable result envelope; :func:`main` prints
+    its attributes in the order they are set here."""
 
-    command: str
-    field: str
-    results: dict
-    oracle_checked: bool = False
-    mismatches: list = dataclass_field(default_factory=list)
+    def __init__(self, command: str, field: str, results: dict,
+                 oracle_checked: bool = False, mismatches: list | None = None):
+        self.command, self.field, self.results = command, field, results
+        self.oracle_checked = oracle_checked
+        self.mismatches = [] if mismatches is None else mismatches
 
 
 def _parse_field_arg(spec: str) -> FieldProfile:
@@ -392,7 +391,7 @@ def main(args: list[str] | None = None, prog_name: str = "cyclokit") -> None:
     except (SizeBoundError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(4 if isinstance(exc, SizeBoundError) else 3)
-    print(json.dumps(asdict(report), indent=2))
+    print(json.dumps(vars(report), indent=2))
     if report.mismatches:
         sys.exit(1)
 

@@ -20,8 +20,8 @@ trivial and silent reduction would mask caller bugs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import PreconditionError, SizeBoundError
 from .numtheory import ResidueClass, eps, is_prime
@@ -46,15 +46,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class ExtendedNat:
-    """A natural number or infinity (infinity encoded as value None).
+class ExtendedNat(NamedTuple):
+    """A natural number or infinity: ``key`` is (0, n) for a finite n and
+    (1, 0) for infinity.
 
     Ordering treats infinity as greater than every finite value; arithmetic
     is only offered on finite values via :meth:`finite_value`.
     """
 
-    _key: tuple[int, int]  # (0, n) for finite n, (1, 0) for infinity
+    key: tuple[int, int]
 
     @classmethod
     def finite(cls, n: int) -> "ExtendedNat":
@@ -68,18 +68,18 @@ class ExtendedNat:
 
     @property
     def is_finite(self) -> bool:
-        return self._key[0] == 0
+        return self.key[0] == 0
 
     def finite_value(self) -> int:
         if not self.is_finite:
             raise ValueError("value is infinite")
-        return self._key[1]
+        return self.key[1]
 
     def __str__(self) -> str:
-        return str(self._key[1]) if self.is_finite else "inf"
+        return str(self.key[1]) if self.is_finite else "inf"
 
     def to_json(self) -> int | str:
-        return self._key[1] if self.is_finite else "inf"
+        return self.key[1] if self.is_finite else "inf"
 
 
 class Sign(enum.Enum):
@@ -89,8 +89,7 @@ class Sign(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class FieldProfile:
+class FieldProfile(NamedTuple):
     """Profile of a supported base field: the rationals or F_(p^k).
 
     For the rationals, ``p == k == 0``; for finite fields, ``p`` is the

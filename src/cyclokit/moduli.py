@@ -12,8 +12,8 @@ formal sums, so this module builds no field and does not import the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .field_profile import (
@@ -71,8 +71,7 @@ KIND_GLOBAL = "Global"
 KIND_ORDER_TWO = "OrderTwo"
 
 
-@dataclass(frozen=True)
-class ModuliClass:
+class ModuliClass(NamedTuple):
     """One isomorphism class of quadratic cyclotomic extensions.
 
     ``primes`` is the prime set attached to the class, ``representative_n``
@@ -92,8 +91,7 @@ class ModuliClass:
         }
 
 
-@dataclass(frozen=True)
-class ModuliDescription:
+class ModuliDescription(NamedTuple):
     """A moduli space of roots of unity generating quadratic extensions.
 
     ``presentation`` is a set expression whose elements are exactly the
@@ -232,8 +230,7 @@ def s_n(field: FieldProfile, n: int) -> frozenset[int]:
     return frozenset(p for p, _ in factorize(order_of_zeta(field, n)))
 
 
-@dataclass(frozen=True)
-class SMaxClass:
+class SMaxClass(NamedTuple):
     """One class of the prime-set partition of quadratic cyclotomic extensions.
 
     ``presentation`` is the difference mu_M - mu_MF whose elements are the
@@ -256,8 +253,7 @@ class SMaxClass:
         }
 
 
-@dataclass(frozen=True)
-class SMaxPartition:
+class SMaxPartition(NamedTuple):
     """The maximal prime sets, each with its moduli presentation."""
 
     classes: tuple[SMaxClass, ...]
@@ -369,8 +365,7 @@ def full_moduli(field: FieldProfile) -> ModuliDescription:
     )
 
 
-@dataclass(frozen=True)
-class RationalSquareClass:
+class RationalSquareClass(NamedTuple):
     """A square class of the rationals, named by its squarefree kernel."""
 
     d: int
@@ -386,8 +381,7 @@ class RationalSquareClass:
         return {"kind": "rational-square-class", "d": self.d}
 
 
-@dataclass(frozen=True)
-class FiniteSquareClass:
+class FiniteSquareClass(NamedTuple):
     """A square class of F_q (odd q), named by its residue bit."""
 
     is_residue: bool
@@ -403,8 +397,7 @@ class FiniteSquareClass:
         return {"kind": "finite-square-class", "is_residue": self.is_residue}
 
 
-@dataclass(frozen=True)
-class ArtinSchreierClass:
+class ArtinSchreierClass(NamedTuple):
     """An Artin-Schreier class of F_(2^k), named by its absolute-trace bit;
     the class is nontrivial exactly when the trace bit is 1."""
 

@@ -22,9 +22,9 @@ a value already reduced into ``[0, modulus)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import SizeBoundError
 
@@ -52,6 +52,10 @@ _FACTORIZE_CACHE_SIZE = 4096
 #: Steps of Brent's rho between two gcds.
 _RHO_BATCH = 128
 
+#: psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to the
+#: 12 prime bases up to 37: :func:`is_prime` is exact below it.
+_PSI_12 = 318665857834031151167461
+
 
 def _primes_below(limit: int) -> tuple[int, ...]:
     """The primes below ``limit``, by the sieve of Eratosthenes."""
@@ -67,26 +71,38 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _primes_below(8000)
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """A residue ``value`` modulo ``modulus``, normalized to ``[0, modulus)``."""
-
+class _Residue(NamedTuple):
     value: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+
+class ResidueClass(_Residue):
+    """A residue ``value`` modulo ``modulus``, normalized to ``[0, modulus)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int) -> "ResidueClass":
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        return super().__new__(cls, value % modulus, modulus)
 
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 64-bit integers (Miller-Rabin)."""
+    """Deterministic primality test (Miller-Rabin with the 12 prime bases to 37).
+
+    Exact below :data:`_PSI_12`, the least strong pseudoprime to all 12
+    bases; inputs at or above it raise :class:`SizeBoundError`.
+    """
     if n < 2:
         return False
+    if n >= _PSI_12:
+        raise SizeBoundError(
+            f"is_prime input out of range: {n.bit_length()} bits,"
+            f" at or above psi_12 = {_PSI_12}"
+        )
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
@@ -95,7 +111,6 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # This witness set is deterministic for all n < 3.18 * 10^23 (psi_12).
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -29,8 +29,8 @@ not import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .field_profile import (
@@ -183,8 +183,7 @@ def _case_tag(field: FieldProfile, n: int) -> str:
     return CASE_TWO_HIGH_MINUS
 
 
-@dataclass(frozen=True)
-class TraceShape:
+class TraceShape(NamedTuple):
     """Structured display form of a quadratic trace: u * (v +- 1/v).
 
     ``unit_index`` and ``cos_index`` are the orders of the unit factor
@@ -226,8 +225,7 @@ class TraceShape:
         return f"{unit}({v} {op} {v}^-1)"
 
 
-@dataclass(frozen=True)
-class QuadMinPoly:
+class QuadMinPoly(NamedTuple):
     """The quadratic minimal polynomial x^2 - trace x + norm of the n-th root.
 
     ``trace_coeff`` is the formal sum z + z^yogh and ``norm_coeff`` the formal
@@ -283,8 +281,7 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     return QuadMinPoly(n, tag, k, trace, norm, shape)
 
 
-@dataclass(frozen=True)
-class RadicalGenerator:
+class RadicalGenerator(NamedTuple):
     """A radical generator of the quadratic extension (characteristic != 2).
 
     The element ``expression`` = z - z^yogh has trace zero, so its
@@ -308,8 +305,7 @@ def radical_generator(field: FieldProfile, n: int) -> RadicalGenerator:
     return RadicalGenerator(expression, square)
 
 
-@dataclass(frozen=True)
-class ArtinSchreierGenerator:
+class ArtinSchreierGenerator(NamedTuple):
     """An Artin-Schreier generator of the quadratic extension (char 2).
 
     The element y = numerator / denominator = z / (z + z^yogh) satisfies
@@ -380,8 +376,7 @@ def nu(field: FieldProfile, p: int) -> ExtendedNat:
     return base
 
 
-@dataclass(frozen=True)
-class KappaClass:
+class KappaClass(NamedTuple):
     """The kappa classification datum of a root of unity.
 
     ``branch`` records which of the three representative shapes applies,

@@ -19,15 +19,21 @@ The module also provides:
   ``Mu(n)``, primitive layers ``PrimSet(n)``, internal (pointwise) products,
   differences, and unions, each with a membership test and an enumerator.
 * The textual form ``z(n,j)`` used by the CLI, with a parser.
+
+Values here and in the other formula modules are :class:`typing.NamedTuple`
+classes, so each is the tuple of its fields: it supports ``len`` and
+iteration, orders and hashes as that tuple, and compares equal to any tuple of
+the same fields, even a value of another type.  Every dispatch on values is by
+``isinstance``, and no code compares values of different types.
 """
 
 from __future__ import annotations
 
 import builtins
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .numtheory import euler_phi
 
@@ -57,8 +63,7 @@ __all__ = [
 _enumerate = builtins.enumerate  # this module shadows the builtin below
 
 
-@dataclass(frozen=True, order=True)
-class RootOfUnity:
+class RootOfUnity(NamedTuple):
     """The root of unity with reduced exponent class numerator/denominator.
 
     Instances must be created through :func:`canonical` (or the arithmetic
@@ -151,9 +156,7 @@ def _sign_rep(z: RootOfUnity) -> tuple[RootOfUnity, int]:
     sign is +1 if z itself is the representative, else -1.
     """
     partner = multiply(z, _ZETA2)
-    key = (z.denominator, z.numerator)
-    pkey = (partner.denominator, partner.numerator)
-    return (z, 1) if key <= pkey else (partner, -1)
+    return (z, 1) if z <= partner else (partner, -1)
 
 
 class RootSum:
@@ -191,10 +194,7 @@ class RootSum:
 
     def terms(self) -> list[tuple[int, RootOfUnity]]:
         """Sorted (coefficient, representative root) pairs."""
-        return sorted(
-            ((c, r) for r, c in self._terms.items()),
-            key=lambda t: (t[1].denominator, t[1].numerator),
-        )
+        return [(c, r) for r, c in sorted(self._terms.items())]
 
     @property
     def is_zero(self) -> bool:
@@ -267,37 +267,32 @@ class RootSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mu:
+class Mu(NamedTuple):
     """The full group of n-th roots of unity (all orders dividing n)."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class PrimSet:
+class PrimSet(NamedTuple):
     """The primitive n-th roots of unity (exactly order n)."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class InternalProduct:
+class InternalProduct(NamedTuple):
     """The set of pointwise products, one factor from each operand set."""
 
     factors: tuple["MuSubset", ...]
 
 
-@dataclass(frozen=True)
-class Difference:
+class Difference(NamedTuple):
     """Set difference left - right."""
 
     left: "MuSubset"
     right: "MuSubset"
 
 
-@dataclass(frozen=True)
-class Union:
+class Union(NamedTuple):
     """Set union of the operands."""
 
     parts: tuple["MuSubset", ...]
@@ -308,7 +303,7 @@ MuSubset = Mu | PrimSet | InternalProduct | Difference | Union
 
 def enumerate(ms: MuSubset) -> list[RootOfUnity]:
     """All elements of the set, canonical and duplicate-free, sorted."""
-    return sorted(_enum_set(ms), key=lambda z: (z.denominator, z.numerator))
+    return sorted(_enum_set(ms))
 
 
 def _enum_set(ms: MuSubset) -> set[RootOfUnity]:

@@ -7,7 +7,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -229,6 +228,27 @@ def test_inputs_beyond_factorization_bound_exit_four(runner, args):
     assert result.stdout == ""
 
 
+#: psi_12, the least strong pseudoprime to the 12 prime bases up to 37.
+PSI_12 = "318665857834031151167461"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--field", f"q:{PSI_12}", "--n", "3"],
+        ["moduli", "--field", "q:23", "--prime", PSI_12],
+    ],
+)
+def test_primality_inputs_at_psi_12_exit_four(runner, args):
+    # psi_12 is composite; the Miller-Rabin bases would call it prime.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: is_prime input out of range")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -386,7 +406,7 @@ def broken_min_poly_16(monkeypatch):
 
     def fake_poly(field, n):
         poly = real_poly(field, n)
-        return replace(poly, yogh=ResidueClass(15, 16)) if n == 16 else poly
+        return poly._replace(yogh=ResidueClass(15, 16)) if n == 16 else poly
 
     def fake_brute(p, k, n):
         trace, norm = real_brute(p, k, n)
@@ -526,3 +546,27 @@ def test_entry_point_on_path_runs():
         timeout=30,
     )
     assert_entry_point_report(proc)
+
+
+#: Modules that ``import cyclokit.cli`` must not load: ``dataclasses`` and
+#: the introspection modules it pulls in cost every CLI process start-up time.
+HEAVY_STARTUP_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_heavy_modules(tmp_path):
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    probe = (
+        "import sys\n"
+        "import cyclokit.cli\n"
+        f"print(' '.join(m for m in {HEAVY_STARTUP_MODULES!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -161,6 +161,18 @@ def test_is_prime_rejects_pseudoprimes(n):
     assert not is_prime(n)
 
 
+def test_is_prime_refuses_inputs_from_psi_12():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to all
+    # twelve bases, so the test is exact only below it.
+    psi_12 = 318665857834031151167461
+    assert 399165290221 * 798330580441 == psi_12
+    for n in (psi_12, psi_12 + 2, 2**89 - 1):
+        with pytest.raises(SizeBoundError):
+            is_prime(n)
+    assert not is_prime(psi_12 - 1)
+    assert is_prime(2**61 - 1)
+
+
 def test_eps_frozen_values():
     assert eps(528, 2) == 4
     assert eps(22, 2) == 1

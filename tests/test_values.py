@@ -1,0 +1,162 @@
+"""Value semantics of the package's immutable value types.
+
+Each value type is pinned by the exact ``repr`` of a sample, by a hash equal
+to the hash of the tuple of its fields, and by refusing attribute
+assignment.  Normalisation, ordering and the rational-field default are
+checked separately.
+"""
+
+import pytest
+
+from cyclokit.automorphisms import FixingSubgroup, UnitGroup
+from cyclokit.field_profile import RATIONAL, ExtendedNat, FieldProfile
+from cyclokit.moduli import (
+    ArtinSchreierClass,
+    FiniteSquareClass,
+    ModuliClass,
+    ModuliDescription,
+    RationalSquareClass,
+    SMaxClass,
+    SMaxPartition,
+)
+from cyclokit.numtheory import ResidueClass
+from cyclokit.quadcyclo import (
+    ArtinSchreierGenerator,
+    KappaClass,
+    QuadMinPoly,
+    RadicalGenerator,
+    TraceShape,
+)
+from cyclokit.roots import (
+    Difference,
+    InternalProduct,
+    Mu,
+    PrimSet,
+    RootOfUnity,
+    RootSum,
+    Union,
+    canonical,
+)
+
+Z4 = canonical(4, 1)
+Z3 = canonical(3, 1)
+SUM = RootSum.of(Z3, canonical(3, 2))
+SHAPE = TraceShape(2, 16, -1, -1)
+RC = ResidueClass(7, 16)
+DIFF = Difference(Mu(4), Mu(2))
+MCLASS = ModuliClass((2,), 4, "x^2 + 1")
+SCLASS = SMaxClass((3,), 3, "x^2 + x + 1", DIFF, 2)
+
+# (value, exact repr, the tuple of its fields in order, a field name)
+CASES = [
+    (Z4, "RootOfUnity(denominator=4, numerator=1)", (4, 1), "numerator"),
+    (Mu(4), "Mu(n=4)", (4,), "n"),
+    (PrimSet(8), "PrimSet(n=8)", (8,), "n"),
+    (InternalProduct((Mu(3), PrimSet(4))),
+     "InternalProduct(factors=(Mu(n=3), PrimSet(n=4)))", ((Mu(3), PrimSet(4)),),
+     "factors"),
+    (DIFF, "Difference(left=Mu(n=4), right=Mu(n=2))", (Mu(4), Mu(2)), "left"),
+    (Union((Mu(3), PrimSet(4))), "Union(parts=(Mu(n=3), PrimSet(n=4)))",
+     ((Mu(3), PrimSet(4)),), "parts"),
+    (ResidueClass(-1, 5), "ResidueClass(value=4, modulus=5)", (4, 5), "value"),
+    (FieldProfile(2, 4), "FieldProfile(p=2, k=4)", (2, 4), "p"),
+    (SHAPE, "TraceShape(unit_index=2, cos_index=16, sign=-1, norm_sign=-1)",
+     (2, 16, -1, -1), "sign"),
+    (QuadMinPoly(16, "TwoHighMinus", RC, SUM, RootSum.of(Z4), SHAPE),
+     "QuadMinPoly(n=16, case_tag='TwoHighMinus', yogh=ResidueClass(value=7,"
+     " modulus=16), trace_coeff=RootSum(z(3,1) + z(3,2)),"
+     " norm_coeff=RootSum(z(4,1)), shape=TraceShape(unit_index=2, cos_index=16,"
+     " sign=-1, norm_sign=-1))",
+     (16, "TwoHighMinus", RC, SUM, RootSum.of(Z4), SHAPE), "yogh"),
+    (RadicalGenerator(SUM, RootSum.of(Z4)),
+     "RadicalGenerator(expression=RootSum(z(3,1) + z(3,2)),"
+     " square=RootSum(z(4,1)))",
+     (SUM, RootSum.of(Z4)), "square"),
+    (ArtinSchreierGenerator(Z3, SUM),
+     "ArtinSchreierGenerator(numerator=RootOfUnity(denominator=3, numerator=1),"
+     " denominator=RootSum(z(3,1) + z(3,2)))", (Z3, SUM), "numerator"),
+    (KappaClass("MinusBranch", SUM, True),
+     "KappaClass(branch='MinusBranch',"
+     " representative=RootSum(z(3,1) + z(3,2)), in_field=True)",
+     ("MinusBranch", SUM, True), "in_field"),
+    (MCLASS, "ModuliClass(primes=(2,), representative_n=4, minpoly='x^2 + 1')",
+     ((2,), 4, "x^2 + 1"), "minpoly"),
+    (ModuliDescription("PerPrime", DIFF, 2, (MCLASS,)),
+     "ModuliDescription(kind='PerPrime', presentation=Difference(left=Mu(n=4),"
+     " right=Mu(n=2)), cardinality=2, classes=(ModuliClass(primes=(2,),"
+     " representative_n=4, minpoly='x^2 + 1'),))",
+     ("PerPrime", DIFF, 2, (MCLASS,)), "classes"),
+    (SCLASS,
+     "SMaxClass(primes=(3,), representative_n=3, minpoly='x^2 + x + 1',"
+     " presentation=Difference(left=Mu(n=4), right=Mu(n=2)), cardinality=2)",
+     ((3,), 3, "x^2 + x + 1", DIFF, 2), "cardinality"),
+    (SMaxPartition((SCLASS,)),
+     "SMaxPartition(classes=(SMaxClass(primes=(3,), representative_n=3,"
+     " minpoly='x^2 + x + 1', presentation=Difference(left=Mu(n=4),"
+     " right=Mu(n=2)), cardinality=2),))", ((SCLASS,),), "classes"),
+    (RationalSquareClass(-1), "RationalSquareClass(d=-1)", (-1,), "d"),
+    (FiniteSquareClass(False), "FiniteSquareClass(is_residue=False)", (False,),
+     "is_residue"),
+    (ArtinSchreierClass(1), "ArtinSchreierClass(trace_bit=1)", (1,), "trace_bit"),
+    (UnitGroup(4, (ResidueClass(1, 4), ResidueClass(3, 4))),
+     "UnitGroup(modulus=4, elements=(ResidueClass(value=1, modulus=4),"
+     " ResidueClass(value=3, modulus=4)))",
+     (4, (ResidueClass(1, 4), ResidueClass(3, 4))), "elements"),
+    (FixingSubgroup(8, 4, (ResidueClass(1, 8), ResidueClass(5, 8))),
+     "FixingSubgroup(modulus=8, fixed_order=4, elements=(ResidueClass(value=1,"
+     " modulus=8), ResidueClass(value=5, modulus=8)))",
+     (8, 4, (ResidueClass(1, 8), ResidueClass(5, 8))), "fixed_order"),
+]
+
+
+@pytest.mark.parametrize("value, text, fields, name", CASES,
+                         ids=[type(case[0]).__name__ for case in CASES])
+def test_value_repr_hash_and_immutability(value, text, fields, name):
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    assert value == type(value)(*fields)
+    with pytest.raises(AttributeError):
+        setattr(value, name, fields[0])
+
+
+def test_extended_nat_hash_immutability_and_repr_shape():
+    # The field's name is not pinned: only the type and the encoding (0, n).
+    value = ExtendedNat.finite(3)
+    assert repr(value).startswith("ExtendedNat(")
+    assert repr(value).endswith("=(0, 3))")
+    assert hash(value) == hash(((0, 3),))
+    assert hash(ExtendedNat.infinity()) == hash(((1, 0),))
+    with pytest.raises(AttributeError):
+        value.key = (0, 4)
+
+
+def test_residue_class_normalises_and_refuses_bad_moduli():
+    assert ResidueClass(-1, 5).value == 4
+    assert ResidueClass(12, 5) == ResidueClass(2, 5)
+    assert ResidueClass(0, 1).value == 0
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            ResidueClass(1, modulus)
+
+
+def test_root_of_unity_orders_by_denominator_then_numerator():
+    roots = [canonical(4, 3), canonical(2, 1), canonical(4, 1), canonical(1, 0)]
+    assert sorted(roots) == [RootOfUnity(1, 0), RootOfUnity(2, 1),
+                             RootOfUnity(4, 1), RootOfUnity(4, 3)]
+    assert RootOfUnity(3, 2) < RootOfUnity(4, 1)
+
+
+def test_extended_nat_orders_infinity_above_every_finite_value():
+    inf = ExtendedNat.infinity()
+    finite = [ExtendedNat.finite(n) for n in (0, 1, 7, 2**70)]
+    assert sorted([inf, *reversed(finite)]) == [*finite, inf]
+    assert all(f < inf for f in finite)
+    assert max(finite) == ExtendedNat.finite(2**70)
+    assert ExtendedNat.finite(7).finite_value() == 7
+    assert str(inf) == "inf" and inf.to_json() == "inf"
+
+
+def test_default_field_profile_is_the_rationals():
+    assert FieldProfile() == RATIONAL
+    assert hash(FieldProfile()) == hash(RATIONAL)
+    assert RATIONAL.is_rational
