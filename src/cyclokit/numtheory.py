@@ -11,10 +11,16 @@ supporting ``+``, ``-``, ``*`` with integers).
 :func:`factorize` divides by a table of the primes below 8000, built at
 import by a sieve.  The cofactor left over is prime when it is below the
 square of the largest table prime; otherwise deterministic Miller-Rabin
-decides it, and Brent's rho with batched gcds splits it when composite.
+decides it.  A composite cofactor that is a perfect square splits as its
+integer square root twice; any other goes to Brent's rho with batched gcds.
 Every quadratic cyclotomic datum over ``F_q`` is read off the divisors of
 ``q^2 - 1``, so the same inputs recur: factorizations are memoised in a
-bounded cache behind the validating public function.
+bounded cache behind the validating public function, and so is the split of
+each composite cofactor, because divisors of ``q^2 - 1`` that share its
+large primes leave the same cofactor after trial division.  Rho thus runs at
+most once per distinct cofactor in a process, and never on a square such as
+the ``P^2`` that the nu exponents ask about for a large prime P of
+``q^2 - 1``.
 
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.
@@ -46,7 +52,8 @@ __all__ = [
 #: Largest integer :func:`factorize` accepts (64-bit signed range).
 MAX_FACTOR_INPUT = 2**63 - 1
 
-#: Distinct inputs whose factorizations :func:`factorize` keeps.
+#: Distinct inputs whose factorizations :func:`factorize` keeps, and distinct
+#: composite cofactors whose splits it keeps.
 _FACTORIZE_CACHE_SIZE = 4096
 
 #: Steps of Brent's rho between two gcds.
@@ -196,9 +203,23 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
         if m < _SMALL_PRIMES[-1] ** 2 or is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:
-            d = _brent_rho(m)
-            stack.extend((d, m // d))
+            stack.extend(_split(m))
     return tuple(sorted(factors.items()))
+
+
+@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
+def _split(m: int) -> tuple[int, int]:
+    """Two nontrivial factors of a composite m with no prime factor in the table.
+
+    A perfect square splits as its root twice, which rho would take about
+    ``m ** (1/4)`` steps to find; anything else goes to :func:`_brent_rho`.
+    Memoised, so rho runs once per distinct cofactor, whichever n left it.
+    """
+    r = isqrt(m)
+    if r * r == m:
+        return r, r
+    d = _brent_rho(m)
+    return d, m // d
 
 
 def eps(n: int, p: int) -> int:

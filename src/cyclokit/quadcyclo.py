@@ -108,16 +108,16 @@ def t_nF(field: FieldProfile, n: int) -> int:
     """
     result = 1
     for p, e in factorize(n):
-        o_part = order_of_zeta(field, p**e)
-        if p == 2:
-            if o_part == 2:
-                result *= 2
-            elif o_part > 2:
-                result *= p**e
-        else:
-            if o_part != 1:
-                result *= p**e
+        result *= _t_part(field, p, e)
     return result
+
+
+def _t_part(field: FieldProfile, p: int, e: int) -> int:
+    """The factor of t_nF contributed by the coherent p^e component (p prime)."""
+    o_part = order_of_zeta(field, p**e)
+    if p == 2 and o_part == 2:
+        return 2
+    return p**e if o_part > 1 else 1
 
 
 def _two_part_exponent(field: FieldProfile, e: int) -> int:
@@ -361,7 +361,7 @@ def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
     bound = eps(field.q**2 - 1, p) + 1
     best = 0
     for k in range(1, bound + 1):
-        t = t_nF(field, p**k)
+        t = _t_part(field, p, k)
         if cos_sum_in_field(field, t, Sign.PLUS):
             best = k
     return ExtendedNat.finite(best)

@@ -7,15 +7,38 @@ concrete references for the square-class and Artin-Schreier embeddings are
 realized here, in the oracle's F_(q^2).
 """
 
+import pytest
+
 from cyclokit import (
     artin_schreier_generator,
     canonical,
     identity,
     is_prime,
     multiply,
+    numtheory,
     radical_generator,
 )
 from cyclokit.oracle import build_field, embed_root, evaluate_sum
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """The inputs of every Brent rho call, recorded from cold memos.
+
+    Both factorization memos are cleared first, so a split that an earlier
+    test already paid for is paid again here.
+    """
+    numtheory._factorize.cache_clear()
+    numtheory._split.cache_clear()
+    calls = []
+    rho = numtheory._brent_rho
+
+    def counting_rho(n):
+        calls.append(n)
+        return rho(n)
+
+    monkeypatch.setattr(numtheory, "_brent_rho", counting_rho)
+    return calls
 
 
 def prime_powers(limit):

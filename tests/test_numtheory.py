@@ -6,6 +6,7 @@ two-term power-sum recurrence against an explicit quadratic extension)
 are exercised as properties.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,45 @@ def test_inputs_above_the_bound_never_reach_the_memo():
     after = numtheory._factorize.cache_info()
     assert (after.hits, after.misses, after.currsize) == (
         before.hits, before.misses, before.currsize)
+
+
+def test_inputs_above_the_bound_never_reach_the_split_memo():
+    before = numtheory._split.cache_info()
+    for n in (MAX_FACTOR_INPUT + 1, 2**64 - 1, 10**30, (2**61 - 1) ** 2):
+        with pytest.raises(SizeBoundError):
+            factorize(n)
+    assert numtheory._split.cache_info() == before
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493, 641382461])
+def test_squares_of_large_primes_split_without_rho(rho_calls, p):
+    assert factorize(p * p) == [(p, 2)]
+    assert rho_calls == []
+
+
+def test_a_cofactor_left_by_two_inputs_goes_to_rho_once(rho_calls):
+    # 4804363 and 641382461 are the two large primes of q^2 - 1 for
+    # q = 2565529843; both inputs leave their product after trial division.
+    assert factorize(2 * 4804363 * 641382461) == [(2, 1), (4804363, 1), (641382461, 1)]
+    assert factorize(3 * 4804363 * 641382461) == [(3, 1), (4804363, 1), (641382461, 1)]
+    assert rho_calls == [4804363 * 641382461]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+_rough_primes = st.integers(min_value=8000, max_value=2**31 - 1).map(_next_prime)
+
+
+@settings(deadline=None)
+@given(_rough_primes, _rough_primes, st.booleans())
+def test_factorize_splits_products_of_two_rough_primes(p, q, square):
+    if square:
+        q = p
+    assert factorize(p * q) == sorted(Counter((p, q)).items())
 
 
 def test_factorize_primes_strictly_increasing():

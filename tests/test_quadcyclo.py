@@ -436,6 +436,12 @@ def test_nu_frozen_values():
     assert nu_plus(Q, 2).finite_value() == 2
 
 
+def test_nu_at_a_large_prime_of_q2_minus_1_makes_no_rho_call(rho_calls):
+    # q^2 - 1 = 2^3 * 3 * 89 * 4804363 * 641382461 for q = 2565529843.
+    assert nu(finite_field(2565529843), 641382461).finite_value() == 1
+    assert rho_calls == []
+
+
 def test_nu_rejects_characteristic():
     with pytest.raises(PreconditionError):
         nu(F5, 5)
