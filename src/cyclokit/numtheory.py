@@ -11,16 +11,13 @@ supporting ``+``, ``-``, ``*`` with integers).
 :func:`factorize` divides by a table of the primes below 8000, built at
 import by a sieve.  The cofactor left over is prime when it is below the
 square of the largest table prime; otherwise deterministic Miller-Rabin
-decides it.  A composite cofactor that is a perfect square splits as its
-integer square root twice; any other goes to Brent's rho with batched gcds.
+decides it, and Brent's rho with batched gcds splits it when composite.
 Every quadratic cyclotomic datum over ``F_q`` is read off the divisors of
 ``q^2 - 1``, so the same inputs recur: factorizations are memoised in a
 bounded cache behind the validating public function, and so is the split of
 each composite cofactor, because divisors of ``q^2 - 1`` that share its
 large primes leave the same cofactor after trial division.  Rho thus runs at
-most once per distinct cofactor in a process, and never on a square such as
-the ``P^2`` that the nu exponents ask about for a large prime P of
-``q^2 - 1``.
+most once per distinct cofactor in a process.
 
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.
@@ -37,6 +34,7 @@ from .errors import SizeBoundError
 __all__ = [
     "MAX_FACTOR_INPUT",
     "ResidueClass",
+    "check_factor_input",
     "crt",
     "eps",
     "euler_phi",
@@ -173,6 +171,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     above :data:`MAX_FACTOR_INPUT` raise :class:`SizeBoundError`.  Results
     are memoised; each call returns a fresh list.
     """
+    check_factor_input(n)
+    return list(_factorize(n))
+
+
+def check_factor_input(n: int) -> None:
+    """Refuse an n that :func:`factorize` refuses, with the same error.
+
+    ValueError below 1; :class:`SizeBoundError` above :data:`MAX_FACTOR_INPUT`.
+    """
     if n < 1:
         raise ValueError(f"factorize input out of range: {n}")
     if n > MAX_FACTOR_INPUT:
@@ -180,7 +187,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
             f"factorize input out of range: {n.bit_length()} bits,"
             f" above {MAX_FACTOR_INPUT}"
         )
-    return list(_factorize(n))
 
 
 @lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
@@ -211,13 +217,9 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 def _split(m: int) -> tuple[int, int]:
     """Two nontrivial factors of a composite m with no prime factor in the table.
 
-    A perfect square splits as its root twice, which rho would take about
-    ``m ** (1/4)`` steps to find; anything else goes to :func:`_brent_rho`.
-    Memoised, so rho runs once per distinct cofactor, whichever n left it.
+    Found by :func:`_brent_rho` and memoised, so rho runs once per distinct
+    cofactor, whichever n left it.
     """
-    r = isqrt(m)
-    if r * r == m:
-        return r, r
     d = _brent_rho(m)
     return d, m // d
 

@@ -42,7 +42,7 @@ from .field_profile import (
     n_F,
     order_of_zeta,
 )
-from .numtheory import ResidueClass, crt, eps, euler_phi, factorize
+from .numtheory import ResidueClass, check_factor_input, crt, eps, euler_phi, factorize
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
 
 __all__ = [
@@ -361,6 +361,8 @@ def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
     bound = eps(field.q**2 - 1, p) + 1
     best = 0
     for k in range(1, bound + 1):
+        # t_nF(field, p**k) without factoring p**k, under factorize's bound.
+        check_factor_input(p**k)
         t = _t_part(field, p, k)
         if cos_sum_in_field(field, t, Sign.PLUS):
             best = k

@@ -228,6 +228,23 @@ def test_inputs_beyond_factorization_bound_exit_four(runner, args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # The least prime above 2^63: nu_plus refuses p^1.
+        ["moduli", "--field", "q:23", "--prime", "9223372036854775837"],
+        # 6074001839 = 2 * 3037000919 + 1: nu_plus refuses 3037000919^2.
+        ["moduli", "--field", "q:6074001839", "--prime", "3037000919"],
+    ],
+)
+def test_moduli_prime_powers_above_the_factorize_bound_exit_four(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert result.stderr == (
+        "error: factorize input out of range: 64 bits, above 9223372036854775807\n")
+    assert result.stdout == ""
+
+
 #: psi_12, the least strong pseudoprime to the 12 prime bases up to 37.
 PSI_12 = "318665857834031151167461"
 

@@ -140,12 +140,6 @@ def test_inputs_above_the_bound_never_reach_the_split_memo():
     assert numtheory._split.cache_info() == before
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 3037000493, 641382461])
-def test_squares_of_large_primes_split_without_rho(rho_calls, p):
-    assert factorize(p * p) == [(p, 2)]
-    assert rho_calls == []
-
-
 def test_a_cofactor_left_by_two_inputs_goes_to_rho_once(rho_calls):
     # 4804363 and 641382461 are the two large primes of q^2 - 1 for
     # q = 2565529843; both inputs leave their product after trial division.

@@ -25,6 +25,7 @@ from cyclokit import (
     PreconditionError,
     RootSum,
     Sign,
+    SizeBoundError,
     artin_schreier_generator,
     canonical,
     contains_root,
@@ -440,6 +441,13 @@ def test_nu_at_a_large_prime_of_q2_minus_1_makes_no_rho_call(rho_calls):
     # q^2 - 1 = 2^3 * 3 * 89 * 4804363 * 641382461 for q = 2565529843.
     assert nu(finite_field(2565529843), 641382461).finite_value() == 1
     assert rho_calls == []
+
+
+@pytest.mark.parametrize("q, p", [(23, 9223372036854775837), (6074001839, 3037000919)])
+def test_nu_plus_refuses_prime_powers_above_the_factorize_bound(q, p):
+    # t_nF(field, p**k) factors p**k, so nu_plus keeps factorize's bound.
+    with pytest.raises(SizeBoundError):
+        nu_plus(finite_field(q), p)
 
 
 def test_nu_rejects_characteristic():
