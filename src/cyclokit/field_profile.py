@@ -238,6 +238,5 @@ def frobenius_exponent(field: FieldProfile, n: int) -> ResidueClass:
     """The exponent by which x -> x^q acts on n-th roots of unity: q mod n."""
     if field.is_rational:
         raise PreconditionError("frobenius_exponent requires a finite field")
-    if gcd(n, field.q) != 1:
-        raise PreconditionError(f"order {n} shares a factor with the field size")
+    _check_coprime_to_char(field, n)
     return ResidueClass(field.q % n, n)

@@ -16,11 +16,12 @@ Central objects, for a base field F and a primitive n-th root of unity z
   remainder theorem glues the components into the unique exponent mod n;
 * ``min_poly`` — x^2 - (z + z^yogh) x + z^(yogh+1) with symbolic coefficients
   (formal sums of roots of unity), a case tag, and a structured display
-  shape;
+  shape.  It is the one derivation of yogh, memoised per (field, n), so
+  ``yogh``, the generators and the Galois image all read the same value;
 * radical and Artin-Schreier generators for the extension, as formal sums;
-* ``t_nF``, property-C2 detection, the nu exponents, and ``kappa_class``,
-  the per-element classification datum whose vanishing cuts out exactly the
-  degree-2 roots of unity.
+* ``t_nF``, property-C2 detection (memoised per field), the nu exponents,
+  and ``kappa_class``, the per-element classification datum whose vanishing
+  cuts out exactly the degree-2 roots of unity.
 
 Every datum is symbolic: no explicit field is built here.  The CLI realizes
 concrete values in F_(q^2) with the brute-force oracle, which this module does
@@ -29,6 +30,7 @@ not import.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -37,9 +39,9 @@ from .field_profile import (
     ExtendedNat,
     FieldProfile,
     Sign,
+    _check_coprime_to_char,
     contains_root,
     cos_sum_in_field,
-    n_F,
     order_of_zeta,
 )
 from .numtheory import ResidueClass, check_factor_input, crt, eps, euler_phi, factorize
@@ -85,16 +87,16 @@ BRANCH_PLUS = "PlusBranch"
 BRANCH_MINUS = "MinusBranch"
 BRANCH_TWO_TIMES = "TwoTimesBranch"
 
+#: Distinct (field, n) whose quadratic root data :func:`min_poly` keeps, and
+#: distinct fields whose property-C2 exponent :func:`has_property_C2` keeps.
+_ROOT_DATA_CACHE_SIZE = 4096
+
 
 def is_quadratic(field: FieldProfile, n: int) -> bool:
     """Whether adjoining a primitive n-th root of unity has degree 2 over F."""
+    _check_coprime_to_char(field, n)
     if field.is_rational:
-        if n < 1:
-            raise ValueError(f"order must be positive, got {n}")
         return euler_phi(n) == 2
-    if n % field.p == 0 or n < 1:
-        # reuse the shared validation for a consistent error
-        order_of_zeta(field, n)
     q = field.q
     return (q * q - 1) % n == 0 and (q - 1) % n != 0
 
@@ -106,6 +108,7 @@ def t_nF(field: FieldProfile, n: int) -> int:
     component: odd p contributes p^e when the component is outside F (else 1);
     p = 2 contributes 1, 2, or 2^e according to o_2 = 1, o_2 = 2, or o_2 > 2.
     """
+    _check_coprime_to_char(field, n)
     result = 1
     for p, e in factorize(n):
         result *= _t_part(field, p, e)
@@ -146,41 +149,9 @@ def yogh(field: FieldProfile, n: int) -> ResidueClass:
     """The conjugation exponent of the primitive n-th root of unity.
 
     The unique k in [1, n-1] with gcd(k, n) = 1 such that z + z^k and
-    z^(k+1) lie in F, assembled per prime-power component and glued by the
-    Chinese remainder theorem (see the module docstring).
+    z^(k+1) lie in F, as derived once per (field, n) by :func:`min_poly`.
     """
-    if not is_quadratic(field, n):
-        raise PreconditionError(f"extension by the {n}-th root is not quadratic")
-    residues: list[ResidueClass] = []
-    for p, e in factorize(n):
-        m = p**e
-        if p == 2:
-            k = _two_part_exponent(field, e)
-        else:
-            # Odd components are either inside F (fixed) or fully outside
-            # (inverted): an odd prime cannot divide both q-1 and q+1.
-            k = 1 if order_of_zeta(field, m) == 1 else m - 1
-        residues.append(ResidueClass(k, m))
-    result = crt(residues)
-    if gcd(result.value, n) != 1:  # pragma: no cover - sanity
-        raise ArithmeticError("conjugation exponent not a unit")
-    if not contains_root(field, power(canonical(n, 1), result.value + 1)):
-        raise ArithmeticError("norm of the conjugate pair escaped the base field")
-    return result
-
-
-def _case_tag(field: FieldProfile, n: int) -> str:
-    o = order_of_zeta(field, n)
-    if o == 2:
-        return CASE_RADICAL
-    if o % 2 == 1:
-        return CASE_ODD
-    if o % 4 != 0:
-        return CASE_TWO_LOW
-    m = 2 ** eps(n, 2)
-    if cos_sum_in_field(field, m, Sign.PLUS):
-        return CASE_TWO_HIGH_PLUS
-    return CASE_TWO_HIGH_MINUS
+    return min_poly(field, n).yogh
 
 
 class TraceShape(NamedTuple):
@@ -262,23 +233,50 @@ _SHAPES = {
 }
 
 
+@lru_cache(maxsize=_ROOT_DATA_CACHE_SIZE)
 def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     """The minimal polynomial data of the primitive n-th root (degree 2).
 
-    The coefficients are formal sums built from the conjugation exponent; no
-    field is constructed.
+    The one derivation of a quadratic root's data, memoised per (field, n):
+    yogh by the per-prime-power assembly (see the module docstring), the case
+    tag from the order o in K*/F* and, when 4 | o, from whether yogh inverts
+    the 2-power component, and the trace shape.  No field is constructed.
     """
-    k = yogh(field, n)
-    tag = _case_tag(field, n)
+    if not is_quadratic(field, n):
+        raise PreconditionError(f"extension by the {n}-th root is not quadratic")
+    residues: list[ResidueClass] = []
+    for p, e in factorize(n):
+        m = p**e
+        if p == 2:
+            k = _two_part_exponent(field, e)
+        else:
+            # Odd components are either inside F (fixed) or fully outside
+            # (inverted): an odd prime cannot divide both q-1 and q+1.
+            k = 1 if order_of_zeta(field, m) == 1 else m - 1
+        residues.append(ResidueClass(k, m))
+    k = crt(residues)
+    if gcd(k.value, n) != 1:  # pragma: no cover - sanity
+        raise ArithmeticError("conjugation exponent not a unit")
     z = canonical(n, 1)
-    trace = RootSum.of(z, power(z, k.value))
-    norm = RootSum.of(power(z, k.value + 1))
+    if not contains_root(field, power(z, k.value + 1)):
+        raise ArithmeticError("norm of the conjugate pair escaped the base field")
+    o = order_of_zeta(field, n)
+    if o == 2:
+        tag = CASE_RADICAL
+    elif o % 2 == 1:
+        tag = CASE_ODD
+    elif o % 4 != 0:
+        tag = CASE_TWO_LOW
+    elif (k.value + 1) % 2 ** eps(n, 2) == 0:
+        tag = CASE_TWO_HIGH_PLUS
+    else:
+        tag = CASE_TWO_HIGH_MINUS
     shape: TraceShape | None = None
     if tag != CASE_RADICAL:
         unit_mult, cos_mult, sign, norm_sign = _SHAPES[tag]
-        o = order_of_zeta(field, n)
-        shape = TraceShape(unit_mult * n_F(field, n), cos_mult * o, sign, norm_sign)
-    return QuadMinPoly(n, tag, k, trace, norm, shape)
+        shape = TraceShape(unit_mult * (n // o), cos_mult * o, sign, norm_sign)
+    trace = RootSum.of(z, power(z, k.value))
+    return QuadMinPoly(n, tag, k, trace, RootSum.of(power(z, k.value + 1)), shape)
 
 
 class RadicalGenerator(NamedTuple):
@@ -325,6 +323,7 @@ def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenera
     return ArtinSchreierGenerator(z, RootSum.of(z, power(z, k)))
 
 
+@lru_cache(maxsize=_ROOT_DATA_CACHE_SIZE)
 def has_property_C2(field: FieldProfile) -> int | None:
     """The unique e with the 2^e root outside F, its t-value not 2, and the
     minus sum inside F — or None when no such exponent exists.

@@ -157,8 +157,11 @@ def test_frobenius_exponent_frozen_values():
 
 
 def test_frobenius_exponent_rejects_characteristic():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="characteristic 5 divides"):
         frobenius_exponent(F5, 15)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"order must be positive, got {n}"):
+            frobenius_exponent(F5, n)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from cyclokit import (
     factorize,
     finite_field,
     g2_membership,
+    galois_image,
     has_property_C2,
     is_quadratic,
     kappa_class,
@@ -100,6 +101,17 @@ def test_t_nF_frozen_values():
     assert t_nF(F23, 16) == 16
     assert t_nF(F5, 8) == 2
     assert t_nF(F5, 24) == 6
+
+
+def test_t_nF_validates_the_order_as_n_F_does():
+    for field in (F5, Q):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=f"order must be positive, got {n}"):
+                n_F(field, n)
+            with pytest.raises(ValueError, match=f"order must be positive, got {n}"):
+                t_nF(field, n)
+    with pytest.raises(PreconditionError, match="characteristic 5 divides"):
+        t_nF(F5, 10)
 
 
 def test_t_nF_is_multiplicative_over_prime_parts():
@@ -207,9 +219,24 @@ def test_min_poly_radical_case():
 
 
 def test_min_poly_case_tags_cover_all_quadratic_cases():
+    # The tag by its definition: the order o of the root in K*/F*, and for
+    # 4 | o which cosine-like sum of the 2-power component lies in F.
     tags = set()
     for field, q, n in quadratic_cases(49):
-        tags.add(min_poly(field, n).case_tag)
+        o = order_of_zeta(field, n)
+        if o == 2:
+            want = CASE_RADICAL
+        elif o % 2 == 1:
+            want = CASE_ODD
+        elif o % 4 == 2:
+            want = CASE_TWO_LOW
+        elif cos_sum_in_field(field, 2 ** eps(n, 2), Sign.PLUS):
+            want = CASE_TWO_HIGH_PLUS
+        else:
+            want = CASE_TWO_HIGH_MINUS
+        got = min_poly(field, n).case_tag
+        assert got == want, (q, n)
+        tags.add(got)
     assert tags == {
         CASE_ODD,
         CASE_RADICAL,
@@ -217,6 +244,20 @@ def test_min_poly_case_tags_cover_all_quadratic_cases():
         CASE_TWO_HIGH_PLUS,
         CASE_TWO_HIGH_MINUS,
     }
+
+
+def test_memoised_root_data_never_hides_a_refusal():
+    # zeta_4 lies in F_5, and 5 divides 10: each query must refuse every time,
+    # also after other functions have queried the same (field, n).
+    assert not is_quadratic(F5, 4)
+    assert kappa_class(F5, canonical(4, 1)).in_field
+    assert [j.value for j in galois_image(F5, 4)] == [1]
+    for _ in range(2):
+        for query in (yogh, min_poly, radical_generator):
+            with pytest.raises(PreconditionError, match="not quadratic"):
+                query(F5, 4)
+        with pytest.raises(PreconditionError, match="characteristic 5 divides"):
+            min_poly(F5, 10)
 
 
 def test_min_poly_trace_is_conjugate_pair_sum():
