@@ -176,6 +176,13 @@ def _check_coprime_to_char(field: FieldProfile, n: int) -> None:
         )
 
 
+def _check_prime_for(field: FieldProfile, p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if not field.is_rational and p == field.p:
+        raise PreconditionError(f"p equals the characteristic {p}")
+
+
 def n_F(field: FieldProfile, n: int) -> int:
     """The largest divisor d of n such that F contains a primitive d-th root.
 
@@ -194,10 +201,7 @@ def order_of_zeta(field: FieldProfile, n: int) -> int:
 
 def ell(field: FieldProfile, p: int) -> ExtendedNat:
     """The largest k with a primitive p^k-th root of unity in F."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if not field.is_rational and p == field.p:
-        raise PreconditionError(f"p equals the characteristic {p}")
+    _check_prime_for(field, p)
     if field.is_rational:
         return ExtendedNat.finite(1 if p == 2 else 0)
     return ExtendedNat.finite(eps(field.q - 1, p))

@@ -105,10 +105,6 @@ class ModuliDescription(NamedTuple):
     cardinality: int
     classes: tuple[ModuliClass, ...]
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -374,12 +370,6 @@ class RationalSquareClass(NamedTuple):
     def is_trivial(self) -> bool:
         return self.d == 1
 
-    def __str__(self) -> str:
-        return f"square class of {self.d}"
-
-    def to_json(self) -> dict:
-        return {"kind": "rational-square-class", "d": self.d}
-
 
 class FiniteSquareClass(NamedTuple):
     """A square class of F_q (odd q), named by its residue bit."""
@@ -389,12 +379,6 @@ class FiniteSquareClass(NamedTuple):
     @property
     def is_trivial(self) -> bool:
         return self.is_residue
-
-    def __str__(self) -> str:
-        return "residue class" if self.is_residue else "non-residue class"
-
-    def to_json(self) -> dict:
-        return {"kind": "finite-square-class", "is_residue": self.is_residue}
 
 
 class ArtinSchreierClass(NamedTuple):
@@ -406,12 +390,6 @@ class ArtinSchreierClass(NamedTuple):
     @property
     def is_trivial(self) -> bool:
         return self.trace_bit == 0
-
-    def __str__(self) -> str:
-        return f"Artin-Schreier class with trace bit {self.trace_bit}"
-
-    def to_json(self) -> dict:
-        return {"kind": "artin-schreier-class", "trace_bit": self.trace_bit}
 
 
 def chi_rad(field: FieldProfile, n: int) -> RationalSquareClass | FiniteSquareClass:

@@ -57,8 +57,12 @@ _FACTORIZE_CACHE_SIZE = 4096
 #: Steps of Brent's rho between two gcds.
 _RHO_BATCH = 128
 
-#: psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to the
-#: 12 prime bases up to 37: :func:`is_prime` is exact below it.
+#: The Miller-Rabin bases of :func:`is_prime`, the 12 primes up to 37; it
+#: trial-divides by them first.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to all
+#: of :data:`_MR_BASES`: :func:`is_prime` is exact below it.
 _PSI_12 = 318665857834031151167461
 
 
@@ -108,7 +112,7 @@ def is_prime(n: int) -> bool:
             f"is_prime input out of range: {n.bit_length()} bits,"
             f" at or above psi_12 = {_PSI_12}"
         )
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -116,7 +120,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -19,9 +19,10 @@ Central objects, for a base field F and a primitive n-th root of unity z
   shape.  It is the one derivation of yogh, memoised per (field, n), so
   ``yogh``, the generators and the Galois image all read the same value;
 * radical and Artin-Schreier generators for the extension, as formal sums;
-* ``t_nF``, property-C2 detection (memoised per field), the nu exponents,
-  and ``kappa_class``, the per-element classification datum whose vanishing
-  cuts out exactly the degree-2 roots of unity.
+* ``t_nF``; the property-C2 witness and the nu exponents, read off the
+  valuations of q^2 - 1 with no search; and ``kappa_class``, the per-element
+  classification datum whose vanishing cuts out exactly the degree-2 roots
+  of unity.
 
 Every datum is symbolic: no explicit field is built here.  The CLI realizes
 concrete values in F_(q^2) with the brute-force oracle, which this module does
@@ -40,6 +41,7 @@ from .field_profile import (
     FieldProfile,
     Sign,
     _check_coprime_to_char,
+    _check_prime_for,
     contains_root,
     cos_sum_in_field,
     order_of_zeta,
@@ -87,8 +89,7 @@ BRANCH_PLUS = "PlusBranch"
 BRANCH_MINUS = "MinusBranch"
 BRANCH_TWO_TIMES = "TwoTimesBranch"
 
-#: Distinct (field, n) whose quadratic root data :func:`min_poly` keeps, and
-#: distinct fields whose property-C2 exponent :func:`has_property_C2` keeps.
+#: Distinct (field, n) whose quadratic root data :func:`min_poly` keeps.
 _ROOT_DATA_CACHE_SIZE = 4096
 
 
@@ -111,16 +112,12 @@ def t_nF(field: FieldProfile, n: int) -> int:
     _check_coprime_to_char(field, n)
     result = 1
     for p, e in factorize(n):
-        result *= _t_part(field, p, e)
+        o_part = order_of_zeta(field, p**e)
+        if p == 2 and o_part == 2:
+            result *= 2
+        elif o_part > 1:
+            result *= p**e
     return result
-
-
-def _t_part(field: FieldProfile, p: int, e: int) -> int:
-    """The factor of t_nF contributed by the coherent p^e component (p prime)."""
-    o_part = order_of_zeta(field, p**e)
-    if p == 2 and o_part == 2:
-        return 2
-    return p**e if o_part > 1 else 1
 
 
 def _two_part_exponent(field: FieldProfile, e: int) -> int:
@@ -323,54 +320,49 @@ def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenera
     return ArtinSchreierGenerator(z, RootSum.of(z, power(z, k)))
 
 
-@lru_cache(maxsize=_ROOT_DATA_CACHE_SIZE)
 def has_property_C2(field: FieldProfile) -> int | None:
     """The unique e with the 2^e root outside F, its t-value not 2, and the
     minus sum inside F — or None when no such exponent exists.
 
-    Characteristic 2 always yields None (the two cosine-like sums coincide).
-    The search is bounded: beyond the 2-adic valuation of q^2 - 1 plus one
-    (3 over the rationals) the minus-sum condition forces a degree above 2.
+    Closed form: eps(q + 1, 2) + 1 when q = 3 mod 4, otherwise None; also
+    None over the rationals, and in characteristic 2, where the two
+    cosine-like sums coincide.  For the 2^e root with order above 2 in
+    K*/F*, the minus sum lies in F exactly when q = 2^(e-1) - 1 mod 2^e,
+    that is when e = eps(q + 1, 2) + 1; an order above 2 needs e >= 3, which
+    forces q = 3 mod 4.
     """
-    if field.characteristic == 2:
+    if field.is_rational or field.q % 4 != 3:
         return None
-    bound = 3 if field.is_rational else eps(field.q**2 - 1, 2) + 1
-    found: list[int] = []
-    for e in range(2, bound + 1):
-        m = 2**e
-        o = order_of_zeta(field, m)
-        if o > 2 and cos_sum_in_field(field, m, Sign.MINUS):
-            found.append(e)
-    if len(found) > 1:  # pragma: no cover - the witness exponent is unique
-        raise ArithmeticError(f"multiple order-2 witnesses {found}")
-    return found[0] if found else None
+    return eps(field.q + 1, 2) + 1
 
 
 def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
     """The largest k such that the plus sum at t(p^k) lies in F.
 
     Over the rationals the closed form is 2, 1, 0 for p = 2, 3, and larger
-    primes; over a finite field the ascending search is bounded by the p-adic
-    valuation of q^2 - 1 plus one, beyond which membership is impossible.
+    primes.  Over F_q it is eps(q^2 - 1, p), less one when p = 2 and
+    q = 3 mod 4.  For odd p, t(p^k) is 1 or p^k, and the plus sum lies in F
+    exactly when p^k divides q - 1 or q + 1.  For p = 2 and q = 1 mod 4,
+    t(2^k) is 1 up to k = eps(q - 1, 2) and 2 one step above, at
+    eps(q^2 - 1, 2).  For q = 3 mod 4, t(2^k) = 2^k from k = 3 on, and the
+    plus sum lies in F exactly when 2^k divides q + 1: the top exponent
+    eps(q + 1, 2) + 1 is the property-C2 witness, whose minus sum, not its
+    plus sum, lies in F.
     """
-    if not field.is_rational and p == field.p:
-        raise PreconditionError(f"p equals the characteristic {p}")
+    _check_prime_for(field, p)
     if field.is_rational:
         return ExtendedNat.finite({2: 2, 3: 1}.get(p, 0))
-    bound = eps(field.q**2 - 1, p) + 1
-    best = 0
-    for k in range(1, bound + 1):
-        # t_nF(field, p**k) without factoring p**k, under factorize's bound.
-        check_factor_input(p**k)
-        t = _t_part(field, p, k)
-        if cos_sum_in_field(field, t, Sign.PLUS):
-            best = k
-    return ExtendedNat.finite(best)
+    top = eps(field.q**2 - 1, p)
+    # Domain guard: nu_plus answers only where p^(top + 1), the least p-power
+    # order with no root in F_(q^2), is within factorize's bound.
+    check_factor_input(p ** (top + 1))
+    return ExtendedNat.finite(top - (p == 2 and field.q % 4 == 3))
 
 
 def nu(field: FieldProfile, p: int) -> ExtendedNat:
     """The p-power moduli exponent: nu_plus, plus one exactly when p = 2 and
-    the field has the order-2 minus-sum property."""
+    the field has the order-2 minus-sum property.  Over F_q it equals
+    eps(q^2 - 1, p)."""
     base = nu_plus(field, p)
     if p == 2 and has_property_C2(field) is not None:
         return ExtendedNat.finite(base.finite_value() + 1)

@@ -46,7 +46,12 @@ from cyclokit import (
     s_n,
     squarefree_kernel,
 )
-from cyclokit.oracle import build_field, evaluate_sum_rational, inseparable_orbit_related
+from cyclokit.oracle import (
+    brute_moduli,
+    build_field,
+    evaluate_sum_rational,
+    inseparable_orbit_related,
+)
 from cyclokit.roots import enumerate as enumerate_subset
 
 from conftest import absolute_trace_bit, divisors, euler_is_residue, prime_powers
@@ -97,6 +102,30 @@ def test_m2p_presentation_is_nu_vs_ell():
             assert describe(d.presentation) == f"mu({prime**v}) - mu({prime**l})"
             assert d.cardinality == prime**v - prime**l
             assert len(d.classes) == (0 if v == l else 1)
+
+
+def _is_power_of(n, r):
+    """Whether n = r^i for some i >= 1."""
+    m = n
+    while m % r == 0:
+        m //= r
+    return n > 1 and m == 1
+
+
+def test_m2p_exponents_match_the_oracle_scan():
+    # The r-power orders among the roots of degree 2 that the oracle finds by
+    # scanning F_(q^2) are exactly r^i with ell < i <= nu, and m2p counts them.
+    for p, k, q in prime_powers(32):
+        field = finite_field(p, k)
+        scanned = brute_moduli(p, k)
+        for r in (2, 3, 5, 7):
+            if r == p:
+                continue
+            entries = [n for n, _ in scanned if _is_power_of(n, r)]
+            v = nu(field, r).finite_value()
+            l = ell(field, r).finite_value()
+            assert set(entries) == {r**i for i in range(l + 1, v + 1)}
+            assert m2p(field, r).cardinality == len(entries)
 
 
 def test_m2p_membership_agrees_with_quadratic_p_powers():

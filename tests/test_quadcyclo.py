@@ -447,7 +447,40 @@ def test_has_property_C2_frozen_values():
     assert has_property_C2(F4) is None  # vacuous in characteristic 2
 
 
+def _nu_sweep(with_rational=False):
+    """(field, r) for every F_q with q <= 200 and every prime r != p that is at
+    most 13 or divides q^2 - 1; with_rational adds Q with each prime r <= 13."""
+    small = {2, 3, 5, 7, 11, 13}
+    if with_rational:
+        for r in sorted(small):
+            yield Q, r
+    for p, k, q in prime_powers(200):
+        field = finite_field(p, k)
+        for r in sorted((small | {r for r, _ in factorize(q * q - 1)}) - {p}):
+            yield field, r
+
+
+def _c2_by_search(field):
+    """The property-C2 witness by its definition: the e with the 2^e root
+    outside F, its t-value not 2 and its minus sum inside F, searched over
+    e <= eps(q^2 - 1, 2) + 1 (3 over the rationals)."""
+    if field.characteristic == 2:
+        return None
+    bound = 3 if field.is_rational else eps(field.q**2 - 1, 2) + 1
+    found = [
+        e
+        for e in range(1, bound + 1)
+        if not contains_root(field, canonical(2**e, 1))
+        and t_nF(field, 2**e) != 2
+        and cos_sum_in_field(field, 2**e, Sign.MINUS)
+    ]
+    assert len(found) <= 1, found
+    return found[0] if found else None
+
+
 def test_property_C2_witness_conditions():
+    for field in [Q] + [finite_field(p, k) for p, k, _ in prime_powers(200)]:
+        assert has_property_C2(field) == _c2_by_search(field)
     for field, c2 in ((F23, 4), (F7, 4)):
         e = has_property_C2(field)
         assert e == c2
@@ -486,7 +519,8 @@ def test_nu_at_a_large_prime_of_q2_minus_1_makes_no_rho_call(rho_calls):
 
 @pytest.mark.parametrize("q, p", [(23, 9223372036854775837), (6074001839, 3037000919)])
 def test_nu_plus_refuses_prime_powers_above_the_factorize_bound(q, p):
-    # t_nF(field, p**k) factors p**k, so nu_plus keeps factorize's bound.
+    # nu_plus answers only where p^(eps(q^2 - 1, p) + 1) is within
+    # factorize's bound: p^1 and p^2 here lie above it.
     with pytest.raises(SizeBoundError):
         nu_plus(finite_field(q), p)
 
@@ -496,28 +530,29 @@ def test_nu_rejects_characteristic():
         nu(F5, 5)
 
 
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("p", [4, 1, -3])
+def test_nu_rejects_non_primes(field, p):
+    for call in (nu, nu_plus):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            call(field, p)
+
+
 def test_nu_plus_is_max_plus_sum_exponent():
     # Direct re-computation from the definition over a small search bound.
-    for p, k, q in prime_powers(31):
-        field = finite_field(p, k)
-        for prime in (2, 3, 5):
-            if prime == p:
-                continue
-            bound = eps(q * q - 1, prime) + 2
-            best = 0
-            for j in range(1, bound + 1):
-                if cos_sum_in_field(field, t_nF(field, prime**j), Sign.PLUS):
-                    best = j
-            assert nu_plus(field, prime).finite_value() == best
+    for field, prime in _nu_sweep():
+        bound = eps(field.q**2 - 1, prime) + 2
+        best = 0
+        for j in range(1, bound + 1):
+            if cos_sum_in_field(field, t_nF(field, prime**j), Sign.PLUS):
+                best = j
+        assert nu_plus(field, prime).finite_value() == best
 
 
 def test_nu_adds_one_only_for_two_with_C2():
-    for field in (F5, F7, F23, Q):
-        for prime in (2, 3, 5):
-            if field.characteristic == prime:
-                continue
-            bump = 1 if (prime == 2 and has_property_C2(field) is not None) else 0
-            assert nu(field, prime).finite_value() == nu_plus(field, prime).finite_value() + bump
+    for field, prime in _nu_sweep(with_rational=True):
+        bump = 1 if (prime == 2 and has_property_C2(field) is not None) else 0
+        assert nu(field, prime).finite_value() == nu_plus(field, prime).finite_value() + bump
 
 
 # ---------------------------------------------------------------------------
