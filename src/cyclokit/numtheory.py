@@ -12,12 +12,9 @@ supporting ``+``, ``-``, ``*`` with integers).
 import by a sieve.  The cofactor left over is prime when it is below the
 square of the largest table prime; otherwise deterministic Miller-Rabin
 decides it, and Brent's rho with batched gcds splits it when composite.
-Every quadratic cyclotomic datum over ``F_q`` is read off the divisors of
-``q^2 - 1``, so the same inputs recur: factorizations are memoised in a
-bounded cache behind the validating public function, and so is the split of
-each composite cofactor, because divisors of ``q^2 - 1`` that share its
-large primes leave the same cofactor after trial division.  Rho thus runs at
-most once per distinct cofactor in a process.
+Over ``F_q`` the numbers that the moduli layer and the CLI factor are
+divisors of ``q^2 - 1``, so the same inputs recur: factorizations are
+memoised in a bounded cache behind the validating public function.
 
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.
@@ -50,8 +47,7 @@ __all__ = [
 #: Largest integer :func:`factorize` accepts (64-bit signed range).
 MAX_FACTOR_INPUT = 2**63 - 1
 
-#: Distinct inputs whose factorizations :func:`factorize` keeps, and distinct
-#: composite cofactors whose splits it keeps.
+#: Distinct inputs whose factorizations :func:`factorize` keeps.
 _FACTORIZE_CACHE_SIZE = 4096
 
 #: Steps of Brent's rho between two gcds.
@@ -213,19 +209,9 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
         if m < _SMALL_PRIMES[-1] ** 2 or is_prime(m):
             factors[m] = factors.get(m, 0) + 1
         else:
-            stack.extend(_split(m))
+            d = _brent_rho(m)
+            stack += (d, m // d)
     return tuple(sorted(factors.items()))
-
-
-@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
-def _split(m: int) -> tuple[int, int]:
-    """Two nontrivial factors of a composite m with no prime factor in the table.
-
-    Found by :func:`_brent_rho` and memoised, so rho runs once per distinct
-    cofactor, whichever n left it.
-    """
-    d = _brent_rho(m)
-    return d, m // d
 
 
 def eps(n: int, p: int) -> int:

@@ -7,13 +7,15 @@ Central objects, for a base field F and a primitive n-th root of unity z
 * ``is_quadratic`` — whether adjoining z gives a degree-2 extension;
 * ``yogh`` — the conjugation exponent: the unique k mod n, coprime to n,
   such that z + z^k and z^(k+1) both lie in F.  Equivalently, the nontrivial
-  automorphism of the extension sends z to z^k.  It is assembled one prime
-  power at a time: on each coherent prime-power component of z the nontrivial
-  automorphism acts by an explicitly known exponent (fixed for components
-  lying in F; inversion for odd components outside F; for the 2-power
-  component one of inversion, negated inversion, or multiplication by the
-  order-2 root, decided by which cosine-like sum lies in F), and the Chinese
-  remainder theorem glues the components into the unique exponent mod n;
+  automorphism of the extension sends z to z^k.  On each coherent
+  prime-power component of z it acts by an explicitly known exponent (fixed
+  for components lying in F; inversion for odd components outside F; for the
+  2-power component one of inversion, negated inversion, or multiplication by
+  the order-2 root, decided by which cosine-like sum lies in F), and the
+  Chinese remainder theorem glues the components into the unique exponent
+  mod n.  The component p^e of n has order p^e / gcd(p^e, n_F) in K*/F*,
+  the p-part of the root's order o = n / n_F, so every component is read off
+  o by gcds and n is never factored;
 * ``min_poly`` — x^2 - (z + z^yogh) x + z^(yogh+1) with symbolic coefficients
   (formal sums of roots of unity), a case tag, and a structured display
   shape.  It is the one derivation of yogh, memoised per (field, n), so
@@ -46,7 +48,7 @@ from .field_profile import (
     cos_sum_in_field,
     order_of_zeta,
 )
-from .numtheory import ResidueClass, check_factor_input, crt, eps, euler_phi, factorize
+from .numtheory import ResidueClass, check_factor_input, crt, eps, euler_phi
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
 
 __all__ = [
@@ -102,32 +104,41 @@ def is_quadratic(field: FieldProfile, n: int) -> bool:
     return (q * q - 1) % n == 0 and (q - 1) % n != 0
 
 
+def _components(field: FieldProfile, n: int) -> tuple[int, int, int, int, int]:
+    """The order o of the n-th root in K*/F*, the 2-part ``two`` of n and its
+    order o2, the product ``outside`` of n's odd components outside F, and t.
+
+    The component p^e of n has order p^e / gcd(p^e, n_F), the p-part of
+    o = n / n_F: so o2 = o & -o, and an odd component lies outside F exactly
+    when its prime divides o.
+    """
+    o = order_of_zeta(field, n)
+    two, o2 = n & -n, o & -o
+    rest, outside = n // two, 1
+    g = gcd(rest, o)
+    while g > 1:
+        rest, outside = rest // g, outside * g
+        g = gcd(rest, g)
+    return o, two, o2, outside, outside * (o2 if o2 <= 2 else two)
+
+
 def t_nF(field: FieldProfile, n: int) -> int:
     """The multiplicative normalization t of the order of the n-th root.
 
-    Built one prime power at a time from the order o_p of each coherent
-    component: odd p contributes p^e when the component is outside F (else 1);
-    p = 2 contributes 1, 2, or 2^e according to o_2 = 1, o_2 = 2, or o_2 > 2.
+    The product over the coherent components of z, each read off the root's
+    order (see :func:`_components`): odd p^e contributes p^e when outside F
+    (else 1); 2^e contributes 1, 2, or 2^e as its order o_2 is 1, 2, or more.
     """
-    _check_coprime_to_char(field, n)
-    result = 1
-    for p, e in factorize(n):
-        o_part = order_of_zeta(field, p**e)
-        if p == 2 and o_part == 2:
-            result *= 2
-        elif o_part > 1:
-            result *= p**e
-    return result
+    return _components(field, n)[4]
 
 
-def _two_part_exponent(field: FieldProfile, e: int) -> int:
-    """Action exponent of the nontrivial automorphism on the 2^e component.
+def _two_part_exponent(field: FieldProfile, m: int, o2: int) -> int:
+    """Action exponent of the nontrivial automorphism on the 2-power component.
 
-    Assumes the ambient extension is quadratic, so the order of the 2-power
-    component is 1, 2, or 2^(e-1).  Returns k with sigma(z) = z^k mod 2^e.
+    ``m`` is the 2-part of n and ``o2`` its order in K*/F*.  Assumes the
+    ambient extension is quadratic, so o2 is 1, 2, or m/2.  Returns k with
+    sigma(z) = z^k mod m.
     """
-    m = 2**e
-    o2 = order_of_zeta(field, m)
     if o2 == 1:
         return 1
     if o2 == 2:
@@ -235,36 +246,29 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     """The minimal polynomial data of the primitive n-th root (degree 2).
 
     The one derivation of a quadratic root's data, memoised per (field, n):
-    yogh by the per-prime-power assembly (see the module docstring), the case
+    yogh by the per-component assembly (see the module docstring), the case
     tag from the order o in K*/F* and, when 4 | o, from whether yogh inverts
     the 2-power component, and the trace shape.  No field is constructed.
     """
     if not is_quadratic(field, n):
         raise PreconditionError(f"extension by the {n}-th root is not quadratic")
-    residues: list[ResidueClass] = []
-    for p, e in factorize(n):
-        m = p**e
-        if p == 2:
-            k = _two_part_exponent(field, e)
-        else:
-            # Odd components are either inside F (fixed) or fully outside
-            # (inverted): an odd prime cannot divide both q-1 and q+1.
-            k = 1 if order_of_zeta(field, m) == 1 else m - 1
-        residues.append(ResidueClass(k, m))
-    k = crt(residues)
+    # Odd components are either inside F (fixed) or fully outside (inverted):
+    # an odd prime cannot divide both q-1 and q+1.
+    o, two, o2, outside, _ = _components(field, n)
+    k = crt([ResidueClass(1, n // two // outside), ResidueClass(-1, outside),
+             ResidueClass(_two_part_exponent(field, two, o2), two)])
     if gcd(k.value, n) != 1:  # pragma: no cover - sanity
         raise ArithmeticError("conjugation exponent not a unit")
     z = canonical(n, 1)
     if not contains_root(field, power(z, k.value + 1)):
         raise ArithmeticError("norm of the conjugate pair escaped the base field")
-    o = order_of_zeta(field, n)
     if o == 2:
         tag = CASE_RADICAL
     elif o % 2 == 1:
         tag = CASE_ODD
     elif o % 4 != 0:
         tag = CASE_TWO_LOW
-    elif (k.value + 1) % 2 ** eps(n, 2) == 0:
+    elif (k.value + 1) % two == 0:
         tag = CASE_TWO_HIGH_PLUS
     else:
         tag = CASE_TWO_HIGH_MINUS
@@ -409,19 +413,16 @@ def kappa_class(field: FieldProfile, z: RootOfUnity) -> KappaClass:
     order exactly 2; otherwise the minus branch when e equals the order-2
     minus-sum exponent of the field; otherwise the plus branch.
     """
-    n = z.denominator
-    t = t_nF(field, n)
-    e = eps(n, 2)
+    _, two, o2, _, t = _components(field, z.denominator)
     zt = canonical(t, 1)
-    o2 = order_of_zeta(field, 2**e)
     if o2 == 2:
-        z2 = canonical(2**e, 1)
+        z2 = canonical(two, 1)
         rep = RootSum.from_terms(
             [(1, multiply(z2, zt)), (-1, multiply(z2, power(zt, -1)))]
         )
         return KappaClass(BRANCH_TWO_TIMES, rep, _sum_in_field(field, rep))
     c2 = has_property_C2(field)
-    if c2 is not None and e == c2:
+    if c2 is not None and two == 2**c2:
         rep = RootSum.from_terms([(1, zt), (-1, power(zt, -1))])
         return KappaClass(BRANCH_MINUS, rep, cos_sum_in_field(field, t, Sign.MINUS))
     rep = RootSum.from_terms([(1, zt), (1, power(zt, -1))])

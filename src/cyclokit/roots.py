@@ -29,7 +29,6 @@ the same fields, even a value of another type.  Every dispatch on values is by
 
 from __future__ import annotations
 
-import builtins
 import re
 from fractions import Fraction
 from math import gcd
@@ -59,8 +58,6 @@ __all__ = [
     "primitive_order",
     "render_root",
 ]
-
-_enumerate = builtins.enumerate  # this module shadows the builtin below
 
 
 class RootOfUnity(NamedTuple):

@@ -26,12 +26,11 @@ from cyclokit.oracle import build_field, embed_root, evaluate_sum
 def rho_calls(monkeypatch):
     """The inputs of every Brent rho call, recorded from cold memos.
 
-    Both factorization memos are cleared first, and so is the quadratic
-    root data memo above them, so a split that an earlier test already paid
-    for is paid again here.
+    The factorization memo is cleared first, and so is the quadratic root
+    data memo above it, so a split that an earlier test already paid for is
+    paid again here.
     """
     numtheory._factorize.cache_clear()
-    numtheory._split.cache_clear()
     quadcyclo.min_poly.cache_clear()
     calls = []
     rho = numtheory._brent_rho

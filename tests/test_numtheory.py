@@ -132,20 +132,11 @@ def test_inputs_above_the_bound_never_reach_the_memo():
         before.hits, before.misses, before.currsize)
 
 
-def test_inputs_above_the_bound_never_reach_the_split_memo():
-    before = numtheory._split.cache_info()
+def test_inputs_above_the_bound_never_reach_rho(rho_calls):
     for n in (MAX_FACTOR_INPUT + 1, 2**64 - 1, 10**30, (2**61 - 1) ** 2):
         with pytest.raises(SizeBoundError):
             factorize(n)
-    assert numtheory._split.cache_info() == before
-
-
-def test_a_cofactor_left_by_two_inputs_goes_to_rho_once(rho_calls):
-    # 4804363 and 641382461 are the two large primes of q^2 - 1 for
-    # q = 2565529843; both inputs leave their product after trial division.
-    assert factorize(2 * 4804363 * 641382461) == [(2, 1), (4804363, 1), (641382461, 1)]
-    assert factorize(3 * 4804363 * 641382461) == [(3, 1), (4804363, 1), (641382461, 1)]
-    assert rho_calls == [4804363 * 641382461]
+    assert rho_calls == []
 
 
 def _next_prime(n):

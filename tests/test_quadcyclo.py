@@ -50,6 +50,7 @@ from cyclokit import (
     t_nF,
     yogh,
 )
+from cyclokit import numtheory
 from cyclokit.oracle import (
     brute_min_poly,
     build_field,
@@ -114,24 +115,25 @@ def test_t_nF_validates_the_order_as_n_F_does():
         t_nF(F5, 10)
 
 
+def _t_by_prime_parts(field, n):
+    """t_nF by its definition, one prime power p^e of n at a time."""
+    t = 1
+    for p, e in factorize(n):
+        o_part = order_of_zeta(field, p**e)
+        if p == 2 and o_part == 2:
+            t *= 2
+        elif o_part > 1:
+            t *= p**e
+    return t
+
+
 def test_t_nF_is_multiplicative_over_prime_parts():
-    for field in (F5, F23, Q):
+    for field in [Q] + [finite_field(p, k) for p, k, _ in prime_powers(200)]:
         char = field.characteristic
-        for n in range(1, 100):
+        for n in range(1, 200):
             if char and n % char == 0:
                 continue
-            parts = 1
-            m = n
-            p = 2
-            while m > 1:
-                if m % p == 0:
-                    e = 0
-                    while m % p == 0:
-                        m //= p
-                        e += 1
-                    parts *= t_nF(field, p**e)
-                p += 1
-            assert t_nF(field, n) == parts
+            assert t_nF(field, n) == _t_by_prime_parts(field, n)
 
 
 def test_t_nF_matches_order_in_quadratic_cases():
@@ -166,10 +168,28 @@ def test_yogh_rejects_non_quadratic():
 
 
 def test_yogh_equals_frobenius_exponent():
-    for field, q, n in quadratic_cases(49):
+    # q61^2 - 1 and q41 + 1 lie above factorize's bound.
+    q61, q41 = 2**61 - 1, 3**41
+    large = [(finite_field(q61), q61, q61 * q61 - 1), (finite_field(q61), q61, q61 + 1),
+             (finite_field(3, 41), q41, q41 + 1)]
+    for field, q, n in [*quadratic_cases(49), *large]:
         got = yogh(field, n)
         assert got.modulus == n
         assert got.value == q % n
+
+
+def test_root_data_over_a_large_field_factor_nothing():
+    # q^2 - 1 = 2^3 * 3 * 89 * 4804363 * 641382461 for q = 2565529843.
+    q = 2565529843
+    field = finite_field(q)
+    min_poly.cache_clear()
+    before = numtheory._factorize.cache_info()
+    for n in (8, 641382461, q + 1, 4804363 * 641382461, q * q - 1):
+        assert is_quadratic(field, n)
+        assert yogh(field, n) == min_poly(field, n).yogh
+        t_nF(field, n)
+        kappa_class(field, canonical(n, 1))
+    assert numtheory._factorize.cache_info() == before
 
 
 def test_yogh_is_coprime_and_bounds_order():
