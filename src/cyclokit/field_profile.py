@@ -1,14 +1,19 @@
 """Base-field abstraction: the rationals and finite fields, by profile.
 
 Downstream classification code never touches concrete field arithmetic; it
-only needs the answers this module computes from a field's profile:
+only needs the answers this module computes from a field's profile.  For
+most of them the rationals and finite fields differ only in two counts of
+roots of unity that the profile holds: w = |mu(F)| (q - 1 over F_q, 2 over Q)
+and |mu(K)| for each quadratic cyclotomic extension K (q^2 - 1 over F_q; 4
+and 6 over Q, for Q(zeta_4) and Q(zeta_3)).
 
 * ``n_F`` — the largest divisor d of n with a primitive d-th root of unity
-  in F (gcd(n, q-1) for F_q; 1 or 2 for Q);
+  in F: gcd(n, w);
 * ``order_of_zeta`` — the order of the primitive n-th root in the quotient
   group K*/F*, which equals n / n_F;
-* ``ell`` — the largest k with a primitive p^k-th root in F (an extended
-  natural, infinite never occurring for these two backends);
+* ``ell`` — the largest k with a primitive p^k-th root in F, the p-adic
+  valuation of w (an extended natural, infinite never occurring for these
+  two backends);
 * membership predicates for single roots and for the two cosine-like sums
   z + 1/z and z - 1/z, by closed form.
 
@@ -114,6 +119,20 @@ class FieldProfile(NamedTuple):
             raise ValueError("the rational field has no finite size q")
         return self.p**self.k
 
+    @property
+    def roots_of_unity(self) -> int:
+        """|mu(F)|, the number of roots of unity in F: q - 1, or 2 for Q."""
+        return 2 if self.is_rational else self.p**self.k - 1
+
+    @property
+    def quadratic_roots_of_unity(self) -> tuple[int, ...]:
+        """|mu(K)| for each quadratic cyclotomic extension K of F: q^2 - 1
+        for the one extension F_(q^2), or 4 and 6 for Q(zeta_4) and Q(zeta_3)."""
+        if self.is_rational:
+            return (4, 6)
+        q = self.p**self.k
+        return (q * q - 1,)
+
 
 #: The field of rational numbers.
 RATIONAL = FieldProfile()
@@ -184,14 +203,10 @@ def _check_prime_for(field: FieldProfile, p: int) -> None:
 
 
 def n_F(field: FieldProfile, n: int) -> int:
-    """The largest divisor d of n such that F contains a primitive d-th root.
-
-    Equals gcd(n, q-1) over F_q, and 2 or 1 over Q by parity of n.
-    """
+    """The largest divisor d of n such that F contains a primitive d-th root:
+    gcd(n, |mu(F)|), since the roots of unity in F form a cyclic group."""
     _check_coprime_to_char(field, n)
-    if field.is_rational:
-        return 2 if n % 2 == 0 else 1
-    return gcd(n, field.q - 1)
+    return gcd(n, field.roots_of_unity)
 
 
 def order_of_zeta(field: FieldProfile, n: int) -> int:
@@ -200,20 +215,17 @@ def order_of_zeta(field: FieldProfile, n: int) -> int:
 
 
 def ell(field: FieldProfile, p: int) -> ExtendedNat:
-    """The largest k with a primitive p^k-th root of unity in F."""
+    """The largest k with a primitive p^k-th root of unity in F: the p-adic
+    valuation of |mu(F)|."""
     _check_prime_for(field, p)
-    if field.is_rational:
-        return ExtendedNat.finite(1 if p == 2 else 0)
-    return ExtendedNat.finite(eps(field.q - 1, p))
+    return ExtendedNat.finite(eps(field.roots_of_unity, p))
 
 
 def contains_root(field: FieldProfile, z: RootOfUnity) -> bool:
-    """Whether the root of unity z lies in F."""
+    """Whether the root of unity z lies in F: whether its order divides |mu(F)|."""
     n = z.denominator
     _check_coprime_to_char(field, n)
-    if field.is_rational:
-        return n in (1, 2)
-    return (field.q - 1) % n == 0
+    return field.roots_of_unity % n == 0
 
 
 def cos_sum_in_field(field: FieldProfile, n: int, sign: Sign) -> bool:

@@ -147,7 +147,7 @@ def g2(field: FieldProfile) -> ModuliDescription:
         return ModuliDescription(KIND_ORDER_TWO, Difference(Mu(1), Mu(1)), 0, ())
     ell_val = ell(field, 2).finite_value()
     half = 2 ** (ell_val + 1)
-    odd_part = 1 if field.is_rational else pfree_quotient(field.q - 1, 2)
+    odd_part = pfree_quotient(field.roots_of_unity, 2)
     presentation = InternalProduct((PrimSet(half), Mu(odd_part)))
     cardinality = (half // 2) * odd_part
     return ModuliDescription(
@@ -261,64 +261,38 @@ class SMaxPartition(NamedTuple):
 def s_max(field: FieldProfile) -> SMaxPartition:
     """The partition of quadratic cyclotomic extensions by maximal prime sets.
 
-    Over F_q there is a single class, with primes those p whose exponent in
-    q^2 - 1 exceeds that in q - 1 (every quadratic cyclotomic extension is
-    the quadratic field extension); over the rationals the classes are {2}
-    (represented by the 4th root) and {3} (represented by the 3rd root).
+    One class per quadratic cyclotomic extension K, with w = |mu(F)| and
+    big = |mu(K)|: its primes are those whose exponent in big exceeds that
+    in w, and its roots are Mu(big) - Mu(w), each factor split by prime.
+    Over F_q that is the single class of F_(q^2) (big = q^2 - 1); over the
+    rationals the classes are {2} (Q(zeta_4), big = 4) and {3} (Q(zeta_3),
+    big = 6).
     """
-    if field.is_rational:
-        return SMaxPartition(
-            (
-                SMaxClass(
-                    (2,),
-                    4,
-                    min_poly(field, 4).render(),
-                    Difference(
-                        InternalProduct((Mu(4), Mu(1))),
-                        InternalProduct((Mu(2), Mu(1))),
-                    ),
-                    2,
-                ),
-                SMaxClass(
-                    (3,),
-                    3,
-                    min_poly(field, 3).render(),
-                    Difference(
-                        InternalProduct((Mu(3), Mu(2))),
-                        InternalProduct((Mu(1), Mu(2))),
-                    ),
-                    4,
-                ),
-            )
+    w = field.roots_of_unity
+    classes: list[SMaxClass] = []
+    for big in field.quadratic_roots_of_unity:
+        primes: list[int] = []
+        rep = 1
+        mu_m_factors: list[MuSubset] = []
+        mu_mf_factors: list[MuSubset] = []
+        remainder = 1
+        for p, e2 in factorize(big):
+            e1 = eps(w, p)
+            if e2 > e1:
+                primes.append(p)
+                rep *= p ** (e1 + 1)
+                mu_m_factors.append(Mu(p**e2))
+                mu_mf_factors.append(Mu(p**e1))
+            else:
+                remainder *= p**e1
+        mu_m_factors.append(Mu(remainder))
+        mu_mf_factors.append(Mu(remainder))
+        presentation = Difference(
+            InternalProduct(tuple(mu_m_factors)), InternalProduct(tuple(mu_mf_factors))
         )
-    q = field.q
-    primes: list[int] = []
-    rep = 1
-    mu_m_factors: list[MuSubset] = []
-    mu_mf_factors: list[MuSubset] = []
-    remainder = 1
-    for p, e2 in factorize(q * q - 1):
-        e1 = eps(q - 1, p)
-        if e2 > e1:
-            primes.append(p)
-            rep *= p ** (e1 + 1)
-            mu_m_factors.append(Mu(p**e2))
-            mu_mf_factors.append(Mu(p**e1))
-        else:
-            remainder *= p**e1
-    mu_m_factors.append(Mu(remainder))
-    mu_mf_factors.append(Mu(remainder))
-    presentation = Difference(
-        InternalProduct(tuple(mu_m_factors)), InternalProduct(tuple(mu_mf_factors))
-    )
-    cls = SMaxClass(
-        tuple(primes),
-        rep,
-        min_poly(field, rep).render(),
-        presentation,
-        (q * q - 1) - (q - 1),
-    )
-    return SMaxPartition((cls,))
+        poly = min_poly(field, rep).render()
+        classes.append(SMaxClass(tuple(primes), rep, poly, presentation, big - w))
+    return SMaxPartition(tuple(classes))
 
 
 def m2_membership(field: FieldProfile, z: RootOfUnity) -> bool:
@@ -343,22 +317,18 @@ def full_moduli(field: FieldProfile) -> ModuliDescription:
 
     Over F_q this is Mu(q^2-1) - Mu(q-1) with the single class F_(q^2);
     over the rationals, the six primitive roots of orders 3, 4, and 6 in
-    two classes.  The classes are those of :func:`s_max`.
+    two classes.  The classes, and the cardinality as the sum of theirs,
+    are those of :func:`s_max`.
     """
-    classes = tuple(
-        ModuliClass(cls.primes, cls.representative_n, cls.minpoly)
-        for cls in s_max(field).classes
-    )
+    parts = s_max(field).classes
+    classes = tuple(ModuliClass(c.primes, c.representative_n, c.minpoly) for c in parts)
     if field.is_rational:
-        presentation = Union((PrimSet(3), PrimSet(4), PrimSet(6)))
-        return ModuliDescription(KIND_GLOBAL, presentation, 6, classes)
-    q = field.q
-    return ModuliDescription(
-        KIND_GLOBAL,
-        Difference(Mu(q * q - 1), Mu(q - 1)),
-        (q * q - 1) - (q - 1),
-        classes,
-    )
+        presentation: MuSubset = Union((PrimSet(3), PrimSet(4), PrimSet(6)))
+    else:
+        (big,) = field.quadratic_roots_of_unity
+        presentation = Difference(Mu(big), Mu(field.roots_of_unity))
+    cardinality = sum(c.cardinality for c in parts)
+    return ModuliDescription(KIND_GLOBAL, presentation, cardinality, classes)
 
 
 class RationalSquareClass(NamedTuple):

@@ -48,7 +48,7 @@ from .field_profile import (
     cos_sum_in_field,
     order_of_zeta,
 )
-from .numtheory import ResidueClass, check_factor_input, crt, eps, euler_phi
+from .numtheory import ResidueClass, check_factor_input, crt, eps
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
 
 __all__ = [
@@ -96,10 +96,13 @@ _ROOT_DATA_CACHE_SIZE = 4096
 
 
 def is_quadratic(field: FieldProfile, n: int) -> bool:
-    """Whether adjoining a primitive n-th root of unity has degree 2 over F."""
+    """Whether adjoining a primitive n-th root of unity has degree 2 over F.
+
+    Over Q that is phi(n) = 2, i.e. n in {3, 4, 6}, decided without factoring n.
+    """
     _check_coprime_to_char(field, n)
     if field.is_rational:
-        return euler_phi(n) == 2
+        return n in (3, 4, 6)
     q = field.q
     return (q * q - 1) % n == 0 and (q - 1) % n != 0
 

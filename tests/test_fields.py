@@ -75,10 +75,19 @@ def test_parse_field_rejects_garbage():
 # ---------------------------------------------------------------------------
 
 
+def test_roots_of_unity_frozen_values():
+    assert (Q.roots_of_unity, Q.quadratic_roots_of_unity) == (2, (4, 6))
+    assert (F23.roots_of_unity, F23.quadratic_roots_of_unity) == (22, (528,))
+    F1024 = finite_field(2, 10)
+    assert (F1024.roots_of_unity, F1024.quadratic_roots_of_unity) == (1023, (1048575,))
+
+
 def test_n_F_frozen_values():
     assert n_F(F23, 16) == 2
     assert n_F(F5, 8) == 4
     assert n_F(Q, 12) == 2
+    for n in range(1, 200):
+        assert n_F(Q, n) == (2 if n % 2 == 0 else 1)
 
 
 def test_order_of_zeta_frozen_values():
@@ -101,6 +110,8 @@ def test_ell_frozen_values():
     assert ell(F23, 2).finite_value() == 1
     assert ell(Q, 3).finite_value() == 0
     assert ell(Q, 2).finite_value() == 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        assert ell(Q, p).finite_value() == (1 if p == 2 else 0)
 
 
 def test_ell_rejects_characteristic():
@@ -124,6 +135,8 @@ def test_contains_root_frozen_values():
     assert contains_root(F5, canonical(4, 1)) is True
     assert contains_root(F5, canonical(8, 1)) is False
     assert contains_root(Q, canonical(2, 1)) is True
+    for n in range(1, 200):
+        assert contains_root(Q, canonical(n, 1)) == (n in (1, 2))
 
 
 def test_cos_sum_frozen_values():

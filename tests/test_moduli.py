@@ -319,6 +319,10 @@ def test_s_max_rational():
     assert three.representative_n == 3
     assert cardinality(two.presentation) == 2
     assert cardinality(three.presentation) == 4
+    assert describe(two.presentation) == "(mu(4) * mu(1)) - (mu(2) * mu(1))"
+    assert describe(three.presentation) == "(mu(3) * mu(2)) - (mu(1) * mu(2))"
+    assert two.minpoly == "x^2 - (0)*x + (z(1,0))"
+    assert three.minpoly == "x^2 - (z(3,1) + z(3,2))*x + (z(1,0))"
 
 
 def test_s_max_classes_are_disjoint():

@@ -91,6 +91,11 @@ def test_is_quadratic_frozen_values():
 
 def test_is_quadratic_rational_cases():
     assert [n for n in range(1, 30) if is_quadratic(Q, n)] == [3, 4, 6]
+    # Decided without factoring n: an order beyond factorize's bound is
+    # answered, and yogh refuses it as not quadratic.
+    assert is_quadratic(Q, 3 * 2**70) is False
+    with pytest.raises(PreconditionError, match="not quadratic"):
+        yogh(Q, 3 * 2**70)
 
 
 def test_is_quadratic_rejects_characteristic():
