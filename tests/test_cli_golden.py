@@ -38,7 +38,13 @@ COMMANDS = [
     *(["moduli", "--field", f] for f in FIELDS),
     ["moduli", "--field", "q:23", "--prime", "2"],
     ["moduli", "--field", "q:17^2", "--prime", "3"],
+    *(["moduli", "--field", "Q", "--prime", p]
+      for p in ("2", "3", "5", "9223372036854775837")),
+    ["moduli", "--field", "q:2^10", "--prime", "3"],
+    ["moduli", "--field", "q:7", "--prime", "2"],
+    ["moduli", "--field", "q:3", "--prime", "2"],
     *(["classify", "--field", f] for f in FIELDS),
+    ["classify", "--field", "q:7"],
     *(["verify", "--field", f] for f in FIELDS),
     ["analyze", "--field", "q:6", "--n", "3"],
     ["analyze", "--field", "q:5", "--n", "10"],
