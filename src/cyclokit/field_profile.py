@@ -2,10 +2,10 @@
 
 Downstream classification code never touches concrete field arithmetic; it
 only needs the answers this module computes from a field's profile.  For
-most of them the rationals and finite fields differ only in two counts of
-roots of unity that the profile holds: w = |mu(F)| (q - 1 over F_q, 2 over Q)
-and |mu(K)| for each quadratic cyclotomic extension K (q^2 - 1 over F_q; 4
-and 6 over Q, for Q(zeta_4) and Q(zeta_3)).
+most of them the rationals and finite fields differ only in the roots of
+unity that the profile holds: w = |mu(F)| (q - 1 over F_q, 2 over Q), and
+(|mu(K)|, c) for each quadratic cyclotomic extension K, with z -> z^c its
+conjugation ((q^2 - 1, q) over F_q; (4, 3) and (6, 5) over Q).
 
 * ``n_F`` — the largest divisor d of n with a primitive d-th root of unity
   in F: gcd(n, w);
@@ -15,7 +15,7 @@ and 6 over Q, for Q(zeta_4) and Q(zeta_3)).
   valuation of w (an extended natural, infinite never occurring for these
   two backends);
 * membership predicates for single roots and for the two cosine-like sums
-  z + 1/z and z - 1/z, by closed form.
+  z + 1/z and z - 1/z, read off each K's conjugation.
 
 Inputs whose order is divisible by the characteristic are rejected rather
 than silently reduced; in characteristic p the p-part of a root of unity is
@@ -125,13 +125,14 @@ class FieldProfile(NamedTuple):
         return 2 if self.is_rational else self.p**self.k - 1
 
     @property
-    def quadratic_roots_of_unity(self) -> tuple[int, ...]:
-        """|mu(K)| for each quadratic cyclotomic extension K of F: q^2 - 1
-        for the one extension F_(q^2), or 4 and 6 for Q(zeta_4) and Q(zeta_3)."""
+    def quadratic_extensions(self) -> tuple[tuple[int, int], ...]:
+        """(|mu(K)|, c) per quadratic cyclotomic extension K, with z -> z^c
+        K's conjugation: (q^2 - 1, q) for F_(q^2), by Frobenius, or (4, 3)
+        and (6, 5) for Q(zeta_4) and Q(zeta_3), by inversion."""
         if self.is_rational:
-            return (4, 6)
+            return ((4, 3), (6, 5))
         q = self.p**self.k
-        return (q * q - 1,)
+        return ((q * q - 1, q),)
 
 
 #: The field of rational numbers.
@@ -231,23 +232,20 @@ def contains_root(field: FieldProfile, z: RootOfUnity) -> bool:
 def cos_sum_in_field(field: FieldProfile, n: int, sign: Sign) -> bool:
     """Decide membership of z + 1/z (PLUS) or z - 1/z (MINUS) in F, for z of order n.
 
-    Closed forms: over F_q, PLUS holds iff q = +-1 mod n, and MINUS holds iff
-    q = 1 mod n or (n even and q = n/2 - 1 mod n); over Q, PLUS holds iff
-    n in {1,2,3,4,6} and MINUS iff n in {1,2}.  The MINUS form is only
+    It holds when n | |mu(K)| for a quadratic cyclotomic extension K whose
+    conjugation z -> z^c fixes the sum: c = 1 mod n, or c = -1 (PLUS) or
+    n/2 - 1 (MINUS) mod n, sending z to 1/z or -1/z.  The MINUS form is only
     supported for even n or n <= 2 (for larger odd n the two sums live in
     different quadratic twists and no closed form is offered).
     """
     _check_coprime_to_char(field, n)
     if sign is Sign.MINUS and n > 2 and n % 2 == 1:
         raise PreconditionError(f"minus sum unsupported for odd order {n} > 2")
-    if field.is_rational:
-        if sign is Sign.PLUS:
-            return n in (1, 2, 3, 4, 6)
-        return n in (1, 2)
-    q = field.q
-    if sign is Sign.PLUS:
-        return q % n in (1 % n, (n - 1) % n)
-    return q % n == 1 % n or (n % 2 == 0 and q % n == (n // 2 - 1) % n)
+    swap = (n - 1) % n if sign is Sign.PLUS else (n // 2 - 1) % n
+    for big, c in field.quadratic_extensions:
+        if big % n == 0 and c % n in (1 % n, swap):
+            return True
+    return False
 
 
 def frobenius_exponent(field: FieldProfile, n: int) -> ResidueClass:

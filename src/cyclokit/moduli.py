@@ -270,7 +270,7 @@ def s_max(field: FieldProfile) -> SMaxPartition:
     """
     w = field.roots_of_unity
     classes: list[SMaxClass] = []
-    for big in field.quadratic_roots_of_unity:
+    for big, _ in field.quadratic_extensions:
         primes: list[int] = []
         rep = 1
         mu_m_factors: list[MuSubset] = []
@@ -325,7 +325,7 @@ def full_moduli(field: FieldProfile) -> ModuliDescription:
     if field.is_rational:
         presentation: MuSubset = Union((PrimSet(3), PrimSet(4), PrimSet(6)))
     else:
-        (big,) = field.quadratic_roots_of_unity
+        ((big, _),) = field.quadratic_extensions
         presentation = Difference(Mu(big), Mu(field.roots_of_unity))
     cardinality = sum(c.cardinality for c in parts)
     return ModuliDescription(KIND_GLOBAL, presentation, cardinality, classes)

@@ -22,9 +22,9 @@ Central objects, for a base field F and a primitive n-th root of unity z
   ``yogh``, the generators and the Galois image all read the same value;
 * radical and Artin-Schreier generators for the extension, as formal sums;
 * ``t_nF``; the property-C2 witness and the nu exponents, read off the
-  valuations of q^2 - 1 with no search; and ``kappa_class``, the per-element
-  classification datum whose vanishing cuts out exactly the degree-2 roots
-  of unity.
+  valuations of each |mu(K)| with no search; and ``kappa_class``, the
+  per-element classification datum whose vanishing cuts out exactly the
+  degree-2 roots of unity.
 
 Every datum is symbolic: no explicit field is built here.  The CLI realizes
 concrete values in F_(q^2) with the brute-force oracle, which this module does
@@ -331,49 +331,47 @@ def has_property_C2(field: FieldProfile) -> int | None:
     """The unique e with the 2^e root outside F, its t-value not 2, and the
     minus sum inside F — or None when no such exponent exists.
 
-    Closed form: eps(q + 1, 2) + 1 when q = 3 mod 4, otherwise None; also
-    None over the rationals, and in characteristic 2, where the two
-    cosine-like sums coincide.  For the 2^e root with order above 2 in
-    K*/F*, the minus sum lies in F exactly when q = 2^(e-1) - 1 mod 2^e,
-    that is when e = eps(q + 1, 2) + 1; an order above 2 needs e >= 3, which
-    forces q = 3 mod 4.
+    Read off the profile: eps(|mu(K)|, 2) for the K with 8 | |mu(K)| when
+    |mu(F)| = 2 mod 4, else None; over F_q, eps(q + 1, 2) + 1 when q = 3 mod
+    4.  None over Q, and in characteristic 2, where the two sums coincide.
+    For the 2^e root with order above 2 in K*/F*, the minus sum lies in F
+    exactly when q = 2^(e-1) - 1 mod 2^e, that is when e = eps(q + 1, 2) + 1;
+    an order above 2 needs e >= 3, which forces q = 3 mod 4.
     """
-    if field.is_rational or field.q % 4 != 3:
+    if field.roots_of_unity % 4 != 2:
         return None
-    return eps(field.q + 1, 2) + 1
-
-
-def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
-    """The largest k such that the plus sum at t(p^k) lies in F.
-
-    Over the rationals the closed form is 2, 1, 0 for p = 2, 3, and larger
-    primes.  Over F_q it is eps(q^2 - 1, p), less one when p = 2 and
-    q = 3 mod 4.  For odd p, t(p^k) is 1 or p^k, and the plus sum lies in F
-    exactly when p^k divides q - 1 or q + 1.  For p = 2 and q = 1 mod 4,
-    t(2^k) is 1 up to k = eps(q - 1, 2) and 2 one step above, at
-    eps(q^2 - 1, 2).  For q = 3 mod 4, t(2^k) = 2^k from k = 3 on, and the
-    plus sum lies in F exactly when 2^k divides q + 1: the top exponent
-    eps(q + 1, 2) + 1 is the property-C2 witness, whose minus sum, not its
-    plus sum, lies in F.
-    """
-    _check_prime_for(field, p)
-    if field.is_rational:
-        return ExtendedNat.finite({2: 2, 3: 1}.get(p, 0))
-    top = eps(field.q**2 - 1, p)
-    # Domain guard: nu_plus answers only where p^(top + 1), the least p-power
-    # order with no root in F_(q^2), is within factorize's bound.
-    check_factor_input(p ** (top + 1))
-    return ExtendedNat.finite(top - (p == 2 and field.q % 4 == 3))
+    for big, _ in field.quadratic_extensions:
+        if big % 8 == 0:
+            return eps(big, 2)
+    return None
 
 
 def nu(field: FieldProfile, p: int) -> ExtendedNat:
-    """The p-power moduli exponent: nu_plus, plus one exactly when p = 2 and
-    the field has the order-2 minus-sum property.  Over F_q it equals
-    eps(q^2 - 1, p)."""
-    base = nu_plus(field, p)
-    if p == 2 and has_property_C2(field) is not None:
-        return ExtendedNat.finite(base.finite_value() + 1)
-    return base
+    """The p-power moduli exponent: the largest k with a p^k-th root in some
+    quadratic cyclotomic extension K, max eps(|mu(K)|, p).  Over F_q that is
+    eps(q^2 - 1, p); over Q, 2, 1, 0 for p = 2, 3 and larger primes."""
+    _check_prime_for(field, p)
+    top = max(eps(big, p) for big, _ in field.quadratic_extensions)
+    if not field.is_rational:
+        # Domain guard: over F_q, nu answers only where p^(top + 1), the least
+        # p-power order with no root in F_(q^2), is within factorize's bound.
+        check_factor_input(p ** (top + 1))
+    return ExtendedNat.finite(top)
+
+
+def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
+    """The largest k such that the plus sum at t(p^k) lies in F: nu, less one
+    exactly when p = 2 and the field has the property-C2 witness.
+
+    For odd p, t(p^k) is 1 or p^k, and the plus sum lies in F exactly when
+    p^k divides q - 1 or q + 1.  For p = 2 and q = 1 mod 4, t(2^k) is 1 up
+    to k = eps(q - 1, 2) and 2 one step above, at eps(q^2 - 1, 2).  For
+    q = 3 mod 4, t(2^k) = 2^k from k = 3 on, and the plus sum lies in F
+    exactly when 2^k divides q + 1: the top exponent eps(q + 1, 2) + 1 is
+    the property-C2 witness, whose minus sum, not its plus sum, lies in F.
+    """
+    top = nu(field, p).finite_value()
+    return ExtendedNat.finite(top - (p == 2 and has_property_C2(field) is not None))
 
 
 class KappaClass(NamedTuple):
@@ -390,22 +388,20 @@ class KappaClass(NamedTuple):
 
 
 def _sum_in_field(field: FieldProfile, s: RootSum) -> bool:
-    """Membership of a formal sum's value in F, by automorphism invariance.
+    """Membership of a formal sum's value in F, by automorphism invariance:
+    some quadratic cyclotomic extension K holds every term (the lcm L of their
+    orders divides |mu(K)|) and its conjugation z -> z^c fixes s.
 
-    Over a finite field the sum must be fixed by the exponent map z -> z^q;
-    over the rationals it must be fixed by every unit exponent map modulo the
-    lcm of the orders involved.  Exact for sums of at most two distinct roots
-    whose difference is not itself a root of unity (the only shapes produced
-    here).
+    Exact for the two-term sums that :func:`kappa_class` builds: if such a
+    sum is formally fixed, every term's order divides some |mu(K)|.  For
+    those orders over Q, (Z/L)* is a subset of {+-1}, so the one conjugation
+    stands in for the whole Galois group.
     """
-    if s.is_zero:
-        return True
-    if field.is_rational:
-        big = s.lcm_order()
-        return all(
-            s.map_exponent(m) == s for m in range(1, big + 1) if gcd(m, big) == 1
-        )
-    return s.map_exponent(field.q) == s
+    order = s.lcm_order()
+    for big, c in field.quadratic_extensions:
+        if big % order == 0 and s.map_exponent(c) == s:
+            return True
+    return False
 
 
 def kappa_class(field: FieldProfile, z: RootOfUnity) -> KappaClass:

@@ -231,9 +231,9 @@ def test_inputs_beyond_factorization_bound_exit_four(runner, args):
 @pytest.mark.parametrize(
     "args",
     [
-        # The least prime above 2^63: nu_plus refuses p^1.
+        # The least prime above 2^63: nu refuses p^1 over F_23.
         ["moduli", "--field", "q:23", "--prime", "9223372036854775837"],
-        # 6074001839 = 2 * 3037000919 + 1: nu_plus refuses 3037000919^2.
+        # 6074001839 = 2 * 3037000919 + 1: nu refuses 3037000919^2.
         ["moduli", "--field", "q:6074001839", "--prime", "3037000919"],
     ],
 )

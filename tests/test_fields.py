@@ -76,10 +76,21 @@ def test_parse_field_rejects_garbage():
 
 
 def test_roots_of_unity_frozen_values():
-    assert (Q.roots_of_unity, Q.quadratic_roots_of_unity) == (2, (4, 6))
-    assert (F23.roots_of_unity, F23.quadratic_roots_of_unity) == (22, (528,))
+    assert (Q.roots_of_unity, Q.quadratic_extensions) == (2, ((4, 3), (6, 5)))
+    assert (F23.roots_of_unity, F23.quadratic_extensions) == (22, ((528, 23),))
     F1024 = finite_field(2, 10)
-    assert (F1024.roots_of_unity, F1024.quadratic_roots_of_unity) == (1023, (1048575,))
+    assert F1024.roots_of_unity == 1023
+    assert F1024.quadratic_extensions == ((1048575, 1024),)
+
+
+def test_quadratic_extensions_hold_each_extensions_automorphism():
+    # z -> z^c is an involution of mu(K), nontrivial, whose fixed roots are
+    # exactly mu(F).
+    for field in [Q] + [finite_field(p, k) for p, k, _ in prime_powers(200)]:
+        for big, c in field.quadratic_extensions:
+            assert c * c % big == 1
+            assert c % big != 1
+            assert gcd(c - 1, big) == field.roots_of_unity
 
 
 def test_n_F_frozen_values():

@@ -51,6 +51,7 @@ from cyclokit import (
     yogh,
 )
 from cyclokit import numtheory
+from cyclokit.quadcyclo import _sum_in_field
 from cyclokit.oracle import (
     brute_min_poly,
     build_field,
@@ -534,6 +535,9 @@ def test_nu_frozen_values():
     assert nu(Q, 3).finite_value() == 1
     assert nu(Q, 5).finite_value() == 0
     assert nu_plus(Q, 2).finite_value() == 2
+    # Over Q, nu answers at primes above factorize's bound, unlike over F_23.
+    assert nu(Q, 9223372036854775837).finite_value() == 0
+    assert nu_plus(Q, 9223372036854775837).finite_value() == 0
 
 
 def test_nu_at_a_large_prime_of_q2_minus_1_makes_no_rho_call(rho_calls):
@@ -624,6 +628,44 @@ def test_kappa_equaliser_characterizes_quadratic():
             kc = kappa_class(field, z)
             lhs = kc.in_field and not contains_root(field, z)
             assert lhs == is_quadratic(field, n)
+
+
+def _fixed_by_galois(field, s):
+    """Whether the formal sum s is fixed by the Galois group of F(mu_L)/F, for
+    L = s.lcm_order(): by every unit exponent map mod L over Q (m = 1 fixes
+    every sum), by z -> z^q over F_q."""
+    if field.is_rational:
+        big = s.lcm_order()
+        return all(s.map_exponent(m) == s for m in range(2, big) if gcd(m, big) == 1)
+    return s.map_exponent(field.q) == s
+
+
+def test_sum_in_field_matches_the_galois_group_on_kappa_representatives():
+    fields = [Q] + [finite_field(p, k) for p, k, _ in prime_powers(49)]
+    for field in fields:
+        for n in range(1, 200):
+            if field.characteristic and n % field.characteristic == 0:
+                continue
+            rep = kappa_class(field, canonical(n, 1)).representative
+            assert _sum_in_field(field, rep) == _fixed_by_galois(field, rep), (field, n)
+
+
+def test_sum_in_field_matches_the_galois_group_on_two_term_sums():
+    for field in (Q, F5, finite_field(3, 2)):
+        roots = [
+            canonical(d, j)
+            for d in range(1, 25)
+            if not field.characteristic or d % field.characteristic
+            for j in range(d)
+            if gcd(j, d) == 1
+        ]
+        # Swapping a and b leaves a + b alone and negates a - b, so those two
+        # shapes need only a <= b.
+        for i, a in enumerate(roots):
+            for j, b in enumerate(roots):
+                for ca, cb in ((1, 1), (1, -1), (2, -1)) if i <= j else ((2, -1),):
+                    s = RootSum.from_terms([(ca, a), (cb, b)])
+                    assert _sum_in_field(field, s) == _fixed_by_galois(field, s), s
 
 
 def test_kappa_equaliser_characterizes_quadratic_over_rationals():
