@@ -13,9 +13,11 @@ Commands:
   into the field's quadratic-extension classes.
 
 The formula layer is symbolic; this module is the one place that imports
-the brute-force oracle.  It realizes the minimal polynomial's coefficients
-and the generator's values in the oracle's F_(q^2) (exactly, over the
-rationals) and cross-checks the minimal polynomial against the oracle's own.
+the brute-force oracle, and only ``analyze`` and ``verify`` import it, when
+they run: ``classify`` and ``moduli`` never load it.  It realizes the minimal
+polynomial's coefficients and the generator's values in the oracle's F_(q^2)
+(exactly, as integers, over the rationals) and cross-checks the minimal
+polynomial against the oracle's own.
 
 Each command returns a :class:`Report`; :func:`main` prints it and holds the
 one mapping from failures to exit codes: 0 success, 1 verification
@@ -34,7 +36,7 @@ import os
 import sys
 
 from . import moduli as moduli_mod
-from . import oracle, quadcyclo
+from . import quadcyclo
 from .errors import PreconditionError, SizeBoundError
 from .field_profile import (
     FieldProfile,
@@ -89,6 +91,7 @@ def _parse_field_arg(spec: str) -> FieldProfile:
 
 def _oracle_refusal(field: FieldProfile) -> str | None:
     """Why the brute-force oracle may not check this finite field, or None."""
+    from . import oracle
     max_q = _max_q()
     if field.q > max_q:
         return f"field {render_field(field)} exceeds CYCLOKIT_MAX_Q={max_q}"
@@ -123,6 +126,7 @@ def _render_int_poly(c0: int, c1: int) -> str:
 
 def _quadratic_extension(field: FieldProfile) -> oracle.ExplicitField | None:
     """The oracle's F_(q^2) when q^2 is within the field bound, else None."""
+    from . import oracle
     if field.is_rational or field.q**2 > oracle.MAX_FIELD_SIZE:
         return None
     return oracle.build_field(field.p, 2 * field.k)
@@ -130,19 +134,19 @@ def _quadratic_extension(field: FieldProfile) -> oracle.ExplicitField | None:
 
 def _values_json(values) -> list:
     """Realized values for a JSON report: field elements by their
-    coordinates, rationals as strings."""
-    return [v.value_repr() if isinstance(v, oracle.FFElement) else str(v)
-            for v in values]
+    coordinates, integers as strings."""
+    return [str(v) if isinstance(v, int) else v.value_repr() for v in values]
 
 
 def _check_min_poly(
     field: FieldProfile, poly: quadcyclo.QuadMinPoly
 ) -> tuple[tuple | None, list[dict], bool]:
     """The values of ``poly``'s coefficients in the oracle's F_(q^2) (None
-    when q^2 exceeds the field bound; exact rationals over Q); the mismatch
+    when q^2 exceeds the field bound; exact integers over Q); the mismatch
     records against the oracle's own minimal polynomial (the q-power map over
     a finite field, the cyclotomic ring over the rationals); and whether the
     oracle gate let that check run."""
+    from . import oracle
     n = poly.n
     mismatches = []
     if field.is_rational:
@@ -190,6 +194,7 @@ def _generator_json(field: FieldProfile, n: int) -> dict:
     """The generator's formal sums, with their values realized in the
     oracle's F_(q^2) (exactly, over the rationals) when q^2 is within the
     field bound."""
+    from . import oracle
     ext = _quadratic_extension(field)
     if field.characteristic == 2:
         gen = quadcyclo.artin_schreier_generator(field, n)
@@ -246,6 +251,7 @@ def analyze(field_spec: str, n: int) -> Report:
         results["generator"] = _generator_json(field, n)
         results["kappa"] = _kappa_json(field, n)
         if field.is_rational:
+            from . import oracle
             c0, c1, _ = oracle.rational_min_poly(n)
             results["integer_min_poly"] = _render_int_poly(c0, c1)
         report.oracle_checked = checked
@@ -277,6 +283,7 @@ def moduli_command(field_spec: str, prime: int | None) -> Report:
 
 def verify(field_spec: str, max_n: int | None) -> Report:
     """Compare every formula against the brute-force oracle."""
+    from . import oracle
     field = _parse_field_arg(field_spec)
     if field.is_rational:
         raise PreconditionError("verify requires a finite field")

@@ -1,5 +1,5 @@
 """Independent brute-force layer: explicit finite fields and exact cyclotomic
-arithmetic over the rationals.
+arithmetic over the integers.
 
 This module uses none of the formula-based classification modules: orders
 are found by exhaustive scan, minimal polynomials by applying the q-power
@@ -9,9 +9,9 @@ primes of the small numbers it meets (q - 1 and p below the field bound, the
 degree k), and the rational degree check counts units.  From ``roots`` it
 takes only the exponent-class types ``RootOfUnity`` and ``RootSum``, which
 :func:`evaluate_sum` realizes.  No formula module imports it, so ``import
-cyclokit`` does not load it: only the CLI, which realizes concrete values
-and cross-checks them, and the test suite do.  Agreement of the two layers
-is the point.
+cyclokit`` does not load it: only the CLI's ``analyze`` and ``verify``,
+which realize concrete values and cross-check them, and the test suite do.
+Agreement of the two layers is the point.
 
 An element of an explicit field is one packed int, and a product is one
 big-int multiplication and a Barrett reduction (see :class:`ExplicitField`).
@@ -36,7 +36,6 @@ the chosen generator — a coherent system of primitive roots.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from math import gcd
@@ -461,7 +460,7 @@ def inseparable_orbit_related(
 
 
 # ---------------------------------------------------------------------------
-# Exact cyclotomic arithmetic over the rationals
+# Exact cyclotomic arithmetic over the integers
 # ---------------------------------------------------------------------------
 
 
@@ -508,37 +507,39 @@ def cyclotomic_poly(n: int) -> list[int]:
 
 
 class CycloRing:
-    """Exact arithmetic in rational polynomials modulo the n-th cyclotomic
-    polynomial — a concrete realization of the field generated over the
-    rationals by a primitive n-th root of unity.
+    """Exact arithmetic in integer polynomials modulo the n-th cyclotomic
+    polynomial: the ring Z[x]/Phi_n, generated over the integers by a
+    primitive n-th root of unity.  Phi_n is monic with integer coefficients,
+    so reduction never divides, and every integer combination of roots stays
+    integral.
 
-    Elements are little-endian tuples of Fractions of length phi(n).
+    Elements are little-endian tuples of ints of length phi(n).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.modulus = [Fraction(c) for c in cyclotomic_poly(n)]
+        self.modulus = cyclotomic_poly(n)
         self.degree = len(self.modulus) - 1
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         for i in range(len(coeffs) - 1, self.degree - 1, -1):
             c = coeffs[i]
             if c:
-                coeffs[i] = Fraction(0)
+                coeffs[i] = 0
                 for j in range(self.degree):
                     coeffs[i - self.degree + j] -= c * self.modulus[j]
         coeffs = coeffs[: self.degree]
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
+        coeffs += [0] * (self.degree - len(coeffs))
         return tuple(coeffs)
 
-    def constant(self, value: Fraction | int) -> tuple[Fraction, ...]:
-        return self._reduce([Fraction(value)])
+    def constant(self, value: int) -> tuple[int, ...]:
+        return self._reduce([value])
 
-    def zeta_power(self, j: int) -> tuple[Fraction, ...]:
+    def zeta_power(self, j: int) -> tuple[int, ...]:
         """The class of x^j (the j-th power of the chosen primitive root)."""
         j %= self.n
-        coeffs = [Fraction(0)] * (j + 1)
-        coeffs[j] = Fraction(1)
+        coeffs = [0] * (j + 1)
+        coeffs[j] = 1
         return self._reduce(coeffs)
 
     def add(self, a, b):
@@ -548,17 +549,17 @@ class CycloRing:
         return tuple(x - y for x, y in zip(a, b))
 
     def mul(self, a, b):
-        prod = [Fraction(0)] * (2 * self.degree - 1) if self.degree > 0 else []
+        prod = [0] * (2 * self.degree - 1) if self.degree > 0 else []
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
         return self._reduce(prod)
 
-    def scale(self, a, k: int | Fraction):
+    def scale(self, a, k: int):
         return tuple(x * k for x in a)
 
-    def embed_root(self, z: RootOfUnity) -> tuple[Fraction, ...]:
+    def embed_root(self, z: RootOfUnity) -> tuple[int, ...]:
         """The class of the exponent j/d, requiring d to divide n."""
         if self.n % z.denominator != 0:
             raise ValueError(
@@ -566,15 +567,16 @@ class CycloRing:
             )
         return self.zeta_power(self.n // z.denominator * z.numerator)
 
-    def as_rational(self, a) -> Fraction | None:
-        """The value as a Fraction if it is a rational constant, else None."""
+    def as_rational(self, a) -> int | None:
+        """The value as an int if it is a constant, else None."""
         if any(a[1:]):
             return None
         return a[0]
 
 
-def evaluate_sum_rational(s: RootSum) -> Fraction:
-    """Evaluate a formal sum of roots of unity as an exact rational number.
+def evaluate_sum_rational(s: RootSum) -> int:
+    """Evaluate a formal sum of roots of unity as an exact rational number,
+    which is an integer: the sum is an algebraic integer.
 
     Raises :class:`PreconditionError` if the value is irrational.
     """
@@ -606,6 +608,4 @@ def rational_min_poly(n: int) -> tuple[int, int, int]:
     norm = ring.as_rational(ring.mul(z1, z2))
     if trace is None or norm is None:  # pragma: no cover - sanity
         raise ArithmeticError("trace/norm failed to be rational")
-    if trace.denominator != 1 or norm.denominator != 1:  # pragma: no cover
-        raise ArithmeticError("trace/norm failed to be integral")
-    return (int(norm), -int(trace), 1)
+    return (norm, -trace, 1)

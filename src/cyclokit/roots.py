@@ -30,7 +30,6 @@ the same fields, even a value of another type.  Every dispatch on values is by
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -119,6 +118,7 @@ def primitive_order(z: RootOfUnity) -> int:
 
 def as_fraction(z: RootOfUnity) -> Fraction:
     """The exponent class as an exact fraction in [0, 1)."""
+    from fractions import Fraction  # here, so that importing the package loads no fractions
     return Fraction(z.numerator, z.denominator)
 
 

@@ -7,7 +7,6 @@ with a time budget measure wall-clock time with ``perf_counter`` and fail if
 the budget is exceeded; the budgets are fixed here and are not tunable.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from time import perf_counter
 
@@ -306,18 +305,16 @@ def test_criterion_8_square_class_and_artin_schreier_embeddings():
 
 def test_criterion_9_product_structure_of_roots():
     failures = []
-    fractions = [
-        Fraction(j, n)
-        for n in range(1, 61)
-        for j in range(n)
-        if gcd(j, n) == 1 or (j == 0 and n == 1)
-    ]
-    for a in fractions:
-        for b in fractions:
-            got = multiply(canonical(a.denominator, a.numerator), canonical(b.denominator, b.numerator))
-            s = (a + b) % 1
-            if got != canonical(s.denominator, s.numerator):
-                failures.append(f"multiply mismatch at {a} + {b}")
+    fractions = [(j, n) for n in range(1, 61) for j in range(n) if gcd(j, n) == 1]
+    for a, n in fractions:
+        za = canonical(n, a)
+        for b, m in fractions:
+            got = multiply(za, canonical(m, b))
+            # a/n + b/m mod 1, by integer cross-multiplication
+            num, den = (a * m + b * n) % (n * m), n * m
+            g = gcd(num, den)
+            if (got.numerator, got.denominator) != (num // g, den // g):
+                failures.append(f"multiply mismatch at {a}/{n} + {b}/{m}")
     for n in range(1, 61):
         wn = parts_product(n)
         for m in range(1, 61):

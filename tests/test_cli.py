@@ -565,9 +565,14 @@ def test_entry_point_on_path_runs():
     assert_entry_point_report(proc)
 
 
-#: Modules that ``import cyclokit.cli`` must not load: ``dataclasses`` and
-#: the introspection modules it pulls in cost every CLI process start-up time.
-HEAVY_STARTUP_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+#: Modules that ``import cyclokit.cli`` must not load, since each costs every
+#: CLI process start-up time: ``dataclasses`` and the introspection modules it
+#: pulls in; the oracle, which only ``analyze`` and ``verify`` use; and
+#: ``fractions`` with the ``decimal`` module it pulls in.
+HEAVY_STARTUP_MODULES = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "cyclokit.oracle", "fractions", "decimal",
+)
 
 
 def test_cli_import_loads_no_heavy_modules(tmp_path):
@@ -587,3 +592,33 @@ def test_cli_import_loads_no_heavy_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize(
+    "args, unused",
+    [
+        (["classify", "--field", "q:101"], "cyclokit.oracle"),
+        (["moduli", "--field", "Q"], "cyclokit.oracle"),
+        (["analyze", "--field", "Q", "--n", "3"], "fractions"),
+    ],
+)
+def test_cli_command_runs_without_loading_what_it_does_not_use(tmp_path, args, unused):
+    # classify and moduli are symbolic, so they never load the oracle; over Q
+    # the oracle computes with ints, so analyze never loads fractions.
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    probe = (
+        "import sys\n"
+        "from cyclokit.cli import main\n"
+        f"main({args!r})\n"
+        f"print({unused!r} in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"

@@ -12,6 +12,8 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -21,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 import cyclokit
 import cyclokit.oracle as oracle_mod
 
-from cyclokit import PreconditionError, SizeBoundError, euler_phi
-from cyclokit import RootSum, canonical, power
+from cyclokit import PreconditionError, SizeBoundError, euler_phi, factorize
+from cyclokit import RootSum, canonical, inverse, multiply, power, radical_generator, rational
 from cyclokit.oracle import (
     CycloRing,
     MAX_FIELD_SIZE,
@@ -35,6 +37,7 @@ from cyclokit.oracle import (
     cyclotomic_poly,
     embed_root,
     evaluate_sum,
+    evaluate_sum_rational,
     find_root_of_unity,
     rational_min_poly,
 )
@@ -267,6 +270,50 @@ def test_cyclo_ring_arithmetic():
     assert ring.add(ring.sub(z4, z2), ring.constant(1)) == ring.constant(0)
 
 
+def _trace_to_q(z, L: int) -> int:
+    """The trace from Q(zeta_L) to Q of the root z, whose order m divides L:
+    phi(L)/phi(m) copies of the sum of the primitive m-th roots, mu(m)."""
+    exponents = [e for _, e in factorize(z.denominator)]
+    mobius = 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+    return euler_phi(L) // euler_phi(z.denominator) * mobius
+
+
+def _rational_value(s: RootSum) -> Fraction | None:
+    """The value of s as a Fraction if it is rational, else None, by traces
+    alone.  With t = Tr(s)/phi(L), Tr((s - t) * conj(s - t)) is the sum of
+    |sigma(s - t)|^2 over the embeddings sigma, so it is zero exactly when
+    s = t; it equals Tr(s * conj(s)) - phi(L) * t^2."""
+    L, terms = s.lcm_order(), s.terms()
+    t = Fraction(sum(c * _trace_to_q(z, L) for c, z in terms), euler_phi(L))
+    modulus_trace = sum(c * d * _trace_to_q(multiply(z, inverse(w)), L)
+                        for c, z in terms for d, w in terms)
+    return t if modulus_trace == euler_phi(L) * t * t else None
+
+
+def test_integer_cyclotomic_ring_is_exact():
+    # CycloRing computes in Z[x]/Phi_L with int coefficients; every value it
+    # calls rational must be an int equal to the Fraction reference, and
+    # every other sum refused.
+    Q = rational()
+    roots = [canonical(n, j) for n in range(1, 13) for j in range(n) if gcd(j, n) == 1]
+    sums = {radical_generator(Q, n).square for n in (3, 4, 6)} | {
+        RootSum.from_terms([(a, x), (b, y)])
+        for x, y in combinations(roots, 2)
+        for a, b in product(range(-2, 3), repeat=2)
+    }
+    rational_count = 0
+    for s in sums:
+        want = _rational_value(s)
+        if want is None:
+            with pytest.raises(PreconditionError):
+                evaluate_sum_rational(s)
+        else:
+            got = evaluate_sum_rational(s)
+            assert type(got) is int and got == want, s
+            rational_count += 1
+    assert 0 < rational_count < len(sums)
+
+
 def test_brute_moduli_frozen_counts():
     assert len(brute_moduli(5, 1)) == 20
     assert len(brute_moduli(3, 1)) == 6
@@ -464,8 +511,11 @@ def test_oversized_fields_are_refused_before_computing_them():
 
 def test_import_cyclokit_leaves_the_oracle_unloaded():
     # The formula layer is symbolic: importing the package, in a fresh
-    # process, must not load the oracle that checks it.
-    code = "import sys, cyclokit; print('cyclokit.oracle' in sys.modules)"
+    # process, must not load the oracle that checks it, nor fractions.
+    code = (
+        "import sys, cyclokit\n"
+        "print([m for m in ('cyclokit.oracle', 'fractions') if m in sys.modules])"
+    )
     package_root = Path(cyclokit.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -475,4 +525,4 @@ def test_import_cyclokit_leaves_the_oracle_unloaded():
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -112,14 +112,17 @@ def test_multiply_is_fraction_addition(x, y):
 
 
 def test_multiply_matches_fraction_addition_small_denominators():
-    # Exhaustive over reduced exponent fractions with denominator <= 60.
-    fracs = [(j, n) for n in range(1, 61) for j in range(n) if gcd(j, n) == 1 or (j == 0 and n == 1)]
+    # Exhaustive over reduced exponent fractions with denominator <= 60; the
+    # sum a/n + b/m mod 1 is (a*m + b*n) mod nm over nm, reduced.
+    fracs = [(j, n) for n in range(1, 61) for j in range(n) if gcd(j, n) == 1]
     roots = [canonical(n, j) for j, n in fracs]
-    values = [Fraction(j, n) for j, n in fracs]
-    for i in range(len(roots)):
+    for i, (a, n) in enumerate(fracs):
         for k in range(i, len(roots)):
-            got = as_fraction(multiply(roots[i], roots[k]))
-            assert got == (values[i] + values[k]) % 1
+            b, m = fracs[k]
+            num, den = (a * m + b * n) % (n * m), n * m
+            g = gcd(num, den)
+            got = multiply(roots[i], roots[k])
+            assert (got.numerator, got.denominator) == (num // g, den // g)
 
 
 def test_coprime_product_order():
