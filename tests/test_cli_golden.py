@@ -4,8 +4,10 @@ with ``cli_golden.json``.
 
 The matrix covers ``analyze``, ``moduli``, ``classify`` and ``verify`` over
 the rationals, small prime fields, fields of large degree and fields whose
-``q^2 - 1`` needs Brent rho, plus one command for each of exit codes 2, 3
-and 4.  A refactor that must not change the CLI's output keeps this test
+``q^2 - 1`` needs Brent rho, characteristic 2 with its Artin-Schreier
+generator realized (``q:2``) and symbolic only (``q:2^11``, whose ``q^2``
+exceeds the oracle's field bound), plus one command for each of exit codes 2,
+3 and 4.  A refactor that must not change the CLI's output keeps this test
 passing unedited.  When the output changes on purpose, regenerate the file
 with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review its diff.
 """
@@ -49,6 +51,12 @@ COMMANDS = [
     ["analyze", "--field", "q:6", "--n", "3"],
     ["analyze", "--field", "q:5", "--n", "10"],
     ["classify", "--field", "q:4294967291"],
+    ["analyze", "--field", "Q", "--n", "3"],
+    ["analyze", "--field", "q:2", "--n", "3"],
+    ["analyze", "--field", "q:2^11", "--n", "3"],
+    ["moduli", "--field", "q:2"],
+    ["classify", "--field", "q:2"],
+    ["verify", "--field", "q:2^3"],
 ]
 
 
