@@ -12,12 +12,15 @@ Commands:
 * ``classify --field S`` — the prime-set partition and the embedding data
   into the field's quadratic-extension classes.
 
-The formula layer is symbolic; this module is the one place that imports
-the brute-force oracle, and only ``analyze`` and ``verify`` import it, when
-they run: ``classify`` and ``moduli`` never load it.  It realizes the minimal
-polynomial's coefficients and the generator's values in the oracle's F_(q^2)
-(exactly, as integers, over the rationals) and cross-checks the minimal
-polynomial against the oracle's own.
+This module owns the report format: the formula layer's value types carry
+no JSON methods, and :func:`_as_json` renders each as the object of its
+fields, whose names are the report keys.  It is also the one place that
+imports the brute-force oracle, and only ``analyze`` and ``verify`` import
+it, when they run: ``classify`` and ``moduli`` never load it.
+:func:`_realizer` picks once per field how a formal sum becomes a value (an
+exact integer over the rationals, an element of the oracle's F_(q^2) within
+its field bound, nothing above it), and :func:`_compare_min_poly` checks the
+realized minimal polynomial against the oracle's own.
 
 Each command returns a :class:`Report`; :func:`main` prints it and holds the
 one mapping from failures to exit codes: 0 success, 1 verification
@@ -34,6 +37,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from functools import partial
 
 from . import moduli as moduli_mod
 from . import quadcyclo
@@ -47,7 +52,7 @@ from .field_profile import (
     render_field,
 )
 from .numtheory import euler_phi, factorize, is_prime, mult_order
-from .roots import canonical
+from .roots import MuSubset, RootOfUnity, RootSum, canonical, describe
 
 DEFAULT_MAX_Q = 1024
 
@@ -90,14 +95,24 @@ def _parse_field_arg(spec: str) -> FieldProfile:
 
 
 def _oracle_refusal(field: FieldProfile) -> str | None:
-    """Why the brute-force oracle may not check this finite field, or None."""
-    from . import oracle
+    """Why the brute-force oracle may not check this finite field (its q
+    exceeds CYCLOKIT_MAX_Q), or None."""
     max_q = _max_q()
     if field.q > max_q:
         return f"field {render_field(field)} exceeds CYCLOKIT_MAX_Q={max_q}"
-    if field.q**2 > oracle.MAX_FIELD_SIZE:
-        return f"quadratic extension size {field.q}^2 exceeds {oracle.MAX_FIELD_SIZE}"
     return None
+
+
+def _realizer(field: FieldProfile) -> Callable[[RootSum], object] | None:
+    """How a formal sum becomes a value over this field: an exact int over the
+    rationals, an element of the oracle's F_(q^2) when q^2 is within its field
+    bound, or nothing (None) above it."""
+    from . import oracle
+    if field.is_rational:
+        return oracle.evaluate_sum_rational
+    if field.q**2 > oracle.MAX_FIELD_SIZE:
+        return None
+    return partial(oracle.evaluate_sum, oracle.build_field(field.p, 2 * field.k))
 
 
 def _divisors(m: int) -> list[int]:
@@ -114,58 +129,57 @@ def _degree(field: FieldProfile, n: int) -> int:
     return mult_order(field.q, n)
 
 
-def _render_int_poly(c0: int, c1: int) -> str:
+def _render_int_poly(trace: int, norm: int) -> str:
+    """x^2 - trace*x + norm, with integer coefficients, as text."""
     parts = ["x^2"]
-    if c1:
-        mag = abs(c1)
-        parts.append(f"{'-' if c1 < 0 else '+'} {'x' if mag == 1 else f'{mag}*x'}")
-    if c0:
-        parts.append(f"{'-' if c0 < 0 else '+'} {abs(c0)}")
+    if trace:
+        mag = abs(trace)
+        parts.append(f"{'+' if trace < 0 else '-'} {'x' if mag == 1 else f'{mag}*x'}")
+    if norm:
+        parts.append(f"{'-' if norm < 0 else '+'} {abs(norm)}")
     return " ".join(parts)
 
 
-def _quadratic_extension(field: FieldProfile) -> oracle.ExplicitField | None:
-    """The oracle's F_(q^2) when q^2 is within the field bound, else None."""
-    from . import oracle
-    if field.is_rational or field.q**2 > oracle.MAX_FIELD_SIZE:
-        return None
-    return oracle.build_field(field.p, 2 * field.k)
+def _as_json(value):
+    """A formula-layer value as JSON data: a set expression by its
+    description, a root or formal sum by its text, any other value type as
+    the object of its fields (their names are the report keys), a tuple as a
+    list.  Set expressions and roots are NamedTuples too, so they go first."""
+    if isinstance(value, MuSubset):
+        return describe(value)
+    if isinstance(value, (RootSum, RootOfUnity)):
+        return str(value)
+    if hasattr(value, "_fields"):
+        return {name: _as_json(v) for name, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return value
 
 
-def _values_json(values) -> list:
-    """Realized values for a JSON report: field elements by their
-    coordinates, integers as strings."""
-    return [str(v) if isinstance(v, int) else v.value_repr() for v in values]
+def _s_max_json(partition: moduli_mod.SMaxPartition) -> dict:
+    return {"kind": "SMax", **_as_json(partition)}
 
 
-def _check_min_poly(
-    field: FieldProfile, poly: quadcyclo.QuadMinPoly
-) -> tuple[tuple | None, list[dict], bool]:
-    """The values of ``poly``'s coefficients in the oracle's F_(q^2) (None
-    when q^2 exceeds the field bound; exact integers over Q); the mismatch
-    records against the oracle's own minimal polynomial (the q-power map over
-    a finite field, the cyclotomic ring over the rationals); and whether the
-    oracle gate let that check run."""
+def _value_json(value):
+    """A realized value for a JSON report: an integer as a string, a field
+    element by its coordinates."""
+    return str(value) if isinstance(value, int) else value.value_repr()
+
+
+def _compare_min_poly(
+    field: FieldProfile, poly: quadcyclo.QuadMinPoly, values: tuple
+) -> tuple[tuple, list[dict]]:
+    """The oracle's own (trace, norm) of the n-th root (from the cyclotomic
+    ring over the rationals, by the q-power map over a finite field), and the
+    mismatch records of the formula's realized coefficients ``values`` and
+    conjugation exponent against it."""
     from . import oracle
     n = poly.n
     mismatches = []
     if field.is_rational:
-        formula = (
-            oracle.evaluate_sum_rational(poly.trace_coeff),
-            oracle.evaluate_sum_rational(poly.norm_coeff),
-        )
         c0, c1, _ = oracle.rational_min_poly(n)
         truth = (-c1, c0)
     else:
-        ext = _quadratic_extension(field)
-        if ext is None:
-            return None, [], False
-        formula = (
-            oracle.evaluate_sum(ext, poly.trace_coeff),
-            oracle.evaluate_sum(ext, poly.norm_coeff),
-        )
-        if _oracle_refusal(field) is not None:
-            return formula, [], False
         frobenius = field.q % n
         if poly.yogh.value != frobenius:
             mismatches.append(
@@ -173,55 +187,36 @@ def _check_min_poly(
                  "oracle": frobenius}
             )
         truth = oracle.brute_min_poly(field.p, field.k, n)
-    if formula != truth:
+    if values != truth:
         mismatches.append(
-            {"n": n, "check": "min_poly_concrete", "formula": _values_json(formula),
-             "oracle": _values_json(truth)}
+            {"n": n, "check": "min_poly_concrete",
+             "formula": [_value_json(v) for v in values],
+             "oracle": [_value_json(v) for v in truth]}
         )
-    return formula, mismatches, True
+    return truth, mismatches
 
 
-def _kappa_json(field: FieldProfile, n: int) -> dict:
-    kc = quadcyclo.kappa_class(field, canonical(n, 1))
-    return {
-        "branch": kc.branch,
-        "representative": str(kc.representative),
-        "in_field": kc.in_field,
-    }
-
-
-def _generator_json(field: FieldProfile, n: int) -> dict:
-    """The generator's formal sums, with their values realized in the
-    oracle's F_(q^2) (exactly, over the rationals) when q^2 is within the
-    field bound."""
-    from . import oracle
-    ext = _quadratic_extension(field)
+def _generator_json(
+    field: FieldProfile, n: int, realize: Callable[[RootSum], object] | None
+) -> dict:
+    """The generator's formal sums, with their values when ``realize`` (see
+    :func:`_realizer`) gives them."""
     if field.characteristic == 2:
         gen = quadcyclo.artin_schreier_generator(field, n)
-        doc: dict = {
-            "type": "artin-schreier",
-            "numerator": str(gen.numerator),
-            "denominator": str(gen.denominator),
-        }
-        if ext is not None:
-            trace = oracle.evaluate_sum(ext, gen.denominator)
+        doc = {"type": "artin-schreier", **_as_json(gen)}
+        if realize is not None:
+            trace = realize(gen.denominator)
             if trace.is_zero:
                 raise PreconditionError("zero trace: no Artin-Schreier generator")
-            y = oracle.embed_root(ext, gen.numerator) / trace
+            y = realize(RootSum.of(gen.numerator)) / trace
             doc["element_encoding"] = y.to_int()
             # y^2 + y = norm / trace^2 in characteristic 2
             doc["constant_encoding"] = (y * y + y).to_int()
         return doc
     gen = quadcyclo.radical_generator(field, n)
-    doc = {
-        "type": "radical",
-        "expression": str(gen.expression),
-        "square": str(gen.square),
-    }
-    if field.is_rational:
-        doc["square_value"] = str(oracle.evaluate_sum_rational(gen.square))
-    elif ext is not None:
-        doc["square_value"] = oracle.evaluate_sum(ext, gen.square).value_repr()
+    doc = {"type": "radical", **_as_json(gen)}
+    if realize is not None:
+        doc["square_value"] = _value_json(realize(gen.square))
     return doc
 
 
@@ -241,20 +236,28 @@ def analyze(field_spec: str, n: int) -> Report:
     if degree == 2:
         poly = quadcyclo.min_poly(field, n)
         results["t_nF"] = quadcyclo.t_nF(field, n)
-        values, report.mismatches, checked = _check_min_poly(field, poly)
-        doc = results["min_poly"] = poly.to_json()
-        if values is not None and not field.is_rational:
-            doc["trace_concrete"], doc["norm_concrete"] = _values_json(values)
+        doc = results["min_poly"] = {
+            "n": n,
+            "case": poly.case_tag,
+            "yogh": poly.yogh.value,
+            "trace_symbolic": str(poly.trace_coeff),
+            "norm_symbolic": str(poly.norm_coeff),
+        }
+        realize = _realizer(field)
+        if realize is not None:
+            values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
+            report.oracle_checked = field.is_rational or _oracle_refusal(field) is None
+            if report.oracle_checked:
+                truth, report.mismatches = _compare_min_poly(field, poly, values)
+            if not field.is_rational:
+                doc["trace_concrete"], doc["norm_concrete"] = map(_value_json, values)
         results["min_poly_rendered"] = poly.render()
         if poly.shape is not None:
             results["trace_shape"] = poly.shape.render()
-        results["generator"] = _generator_json(field, n)
-        results["kappa"] = _kappa_json(field, n)
+        results["generator"] = _generator_json(field, n, realize)
+        results["kappa"] = _as_json(quadcyclo.kappa_class(field, canonical(n, 1)))
         if field.is_rational:
-            from . import oracle
-            c0, c1, _ = oracle.rational_min_poly(n)
-            results["integer_min_poly"] = _render_int_poly(c0, c1)
-        report.oracle_checked = checked
+            results["integer_min_poly"] = _render_int_poly(*truth)
     return report
 
 
@@ -265,7 +268,7 @@ def moduli_command(field_spec: str, prime: int | None) -> Report:
         raise _UsageError(f"--prime must be prime, got {prime}")
     if prime is not None:
         results = {
-            "per_prime": moduli_mod.m2p(field, prime).to_json(),
+            "per_prime": _as_json(moduli_mod.m2p(field, prime)),
             "nu": quadcyclo.nu(field, prime).to_json(),
             "nu_plus": quadcyclo.nu_plus(field, prime).to_json(),
             "ell": ell(field, prime).to_json(),
@@ -274,9 +277,9 @@ def moduli_command(field_spec: str, prime: int | None) -> Report:
             results["c2"] = quadcyclo.has_property_C2(field)
     else:
         results = {
-            "full_moduli": moduli_mod.full_moduli(field).to_json(),
-            "s_max": moduli_mod.s_max(field).to_json(),
-            "order_two": moduli_mod.g2(field).to_json(),
+            "full_moduli": _as_json(moduli_mod.full_moduli(field)),
+            "s_max": _s_max_json(moduli_mod.s_max(field)),
+            "order_two": _as_json(moduli_mod.g2(field)),
         }
     return Report("moduli", render_field(field), results)
 
@@ -290,6 +293,10 @@ def verify(field_spec: str, max_n: int | None) -> Report:
     refusal = _oracle_refusal(field)
     if refusal is not None:
         raise SizeBoundError(refusal)
+    realize = _realizer(field)
+    if realize is None:
+        raise SizeBoundError(
+            f"quadratic extension size {field.q}^2 exceeds {oracle.MAX_FIELD_SIZE}")
     q = field.q
     bound = q * q - 1 if max_n is None else max_n
     mismatches: list[dict] = []
@@ -324,7 +331,8 @@ def verify(field_spec: str, max_n: int | None) -> Report:
                                "oracle": order_brute == 2})
         if quadratic_formula:
             poly = quadcyclo.min_poly(field, n)
-            mismatches.extend(_check_min_poly(field, poly)[1])
+            values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
+            mismatches.extend(_compare_min_poly(field, poly, values)[1])
     results = {"max_n": bound, "orders_checked": checked}
     return Report("verify", render_field(field), results, True, mismatches)
 
@@ -337,8 +345,8 @@ def classify(field_spec: str) -> Report:
     results: dict = {
         "kind": "rational" if field.is_rational else "finite",
         "characteristic": field.characteristic,
-        "s_max": partition.to_json(),
-        "order_two": moduli_mod.g2(field).to_json(),
+        "s_max": _s_max_json(partition),
+        "order_two": _as_json(moduli_mod.g2(field)),
         "quad_moduli_summary": moduli_mod.quad_moduli_summary(field),
         "nu": {str(p): quadcyclo.nu(field, p).to_json() for p in primes},
     }

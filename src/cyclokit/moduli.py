@@ -8,6 +8,8 @@ All sets of roots of unity are presented as the set expressions from
 primitive-sets), with arithmetic cardinalities that the enumeration tests
 cross-check.  The embeddings are decided symbolically, from the generators'
 formal sums, so this module builds no field and does not import the oracle.
+Its value types have no JSON form of their own: the CLI renders each as the
+object of its fields, so their field names are the report keys.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .roots import (
     RootOfUnity,
     Union,
     canonical,
-    describe,
     multiply,
 )
 
@@ -83,13 +84,6 @@ class ModuliClass(NamedTuple):
     representative_n: int
     minpoly: str
 
-    def to_json(self) -> dict:
-        return {
-            "primes": list(self.primes),
-            "representative_n": self.representative_n,
-            "minpoly": self.minpoly,
-        }
-
 
 class ModuliDescription(NamedTuple):
     """A moduli space of roots of unity generating quadratic extensions.
@@ -104,14 +98,6 @@ class ModuliDescription(NamedTuple):
     presentation: MuSubset
     cardinality: int
     classes: tuple[ModuliClass, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "presentation": describe(self.presentation),
-            "cardinality": self.cardinality,
-            "classes": [c.to_json() for c in self.classes],
-        }
 
 
 def _class_for(field: FieldProfile, primes: tuple[int, ...], rep_n: int) -> ModuliClass:
@@ -239,23 +225,11 @@ class SMaxClass(NamedTuple):
     presentation: Difference
     cardinality: int
 
-    def to_json(self) -> dict:
-        return {
-            "primes": list(self.primes),
-            "representative_n": self.representative_n,
-            "minpoly": self.minpoly,
-            "presentation": describe(self.presentation),
-            "cardinality": self.cardinality,
-        }
-
 
 class SMaxPartition(NamedTuple):
     """The maximal prime sets, each with its moduli presentation."""
 
     classes: tuple[SMaxClass, ...]
-
-    def to_json(self) -> dict:
-        return {"kind": "SMax", "classes": [c.to_json() for c in self.classes]}
 
 
 def s_max(field: FieldProfile) -> SMaxPartition:

@@ -28,7 +28,7 @@ Central objects, for a base field F and a primitive n-th root of unity z
 
 Every datum is symbolic: no explicit field is built here.  The CLI realizes
 concrete values in F_(q^2) with the brute-force oracle, which this module does
-not import.
+not import, and it writes every report: no value type here has a JSON form.
 """
 
 from __future__ import annotations
@@ -225,15 +225,6 @@ class QuadMinPoly(NamedTuple):
 
     def render(self) -> str:
         return f"x^2 - ({self.trace_coeff})*x + ({self.norm_coeff})"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "case": self.case_tag,
-            "yogh": self.yogh.value,
-            "trace_symbolic": str(self.trace_coeff),
-            "norm_symbolic": str(self.norm_coeff),
-        }
 
 
 _SHAPES = {

@@ -18,7 +18,8 @@ The module also provides:
 * Finite set expressions over roots of unity (:data:`MuSubset`): full groups
   ``Mu(n)``, primitive layers ``PrimSet(n)``, internal (pointwise) products,
   differences, and unions, each with a membership test and an enumerator.
-* The textual form ``z(n,j)`` used by the CLI, with a parser.
+* The textual form ``z(n,j)``, in which the CLI prints roots, and
+  ``parse_root``, its inverse for library callers (the CLI reads no roots).
 
 Values here and in the other formula modules are :class:`typing.NamedTuple`
 classes, so each is the tuple of its fields: it supports ``len`` and
@@ -116,8 +117,9 @@ def primitive_order(z: RootOfUnity) -> int:
     return z.denominator
 
 
-def as_fraction(z: RootOfUnity) -> Fraction:
-    """The exponent class as an exact fraction in [0, 1)."""
+def as_fraction(z: RootOfUnity):
+    """The exponent class as an exact fraction in [0, 1).  ``Fraction`` is
+    imported only here, so the return type is not annotated."""
     from fractions import Fraction  # here, so that importing the package loads no fractions
     return Fraction(z.numerator, z.denominator)
 

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import cyclokit
+import cyclokit.cli as cli_mod
 import cyclokit.oracle as oracle_mod
 import cyclokit.quadcyclo as quadcyclo_mod
 from cyclokit.cli import main
@@ -210,6 +211,54 @@ def test_analyze_rational_checks_the_oracle_polynomial(runner, monkeypatch):
         {"n": 4, "check": "min_poly_concrete", "formula": ["0", "1"],
          "oracle": ["-1", "1"]}
     ]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test and return the list of its calls'
+    arguments, which fills as it is called."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_over_q_computes_the_oracle_polynomial_once(runner, monkeypatch):
+    # The cross-check and integer_min_poly read the same oracle polynomial.
+    calls = count_calls(monkeypatch, oracle_mod, "rational_min_poly")
+    payload = invoke_json(runner, ["analyze", "--field", "Q", "--n", "3"])
+    assert payload["results"]["integer_min_poly"] == "x^2 + x + 1"
+    assert calls == [(3,)]
+
+
+def test_verify_reads_the_oracle_gate_once(runner, monkeypatch):
+    calls = count_calls(monkeypatch, cli_mod, "_oracle_refusal")
+    payload = invoke_json(runner, ["verify", "--field", "q:5"])
+    assert payload["oracle_checked"] is True and payload["mismatches"] == []
+    assert len(calls) == 1
+
+
+def test_analyze_realizes_values_above_the_oracle_gate_without_checking(
+    runner, monkeypatch
+):
+    # q = 23 exceeds CYCLOKIT_MAX_Q = 16, but F_(23^2) is within the field
+    # bound: the coefficients and the generator are realized, and the oracle's
+    # own polynomial is never computed.
+    def unreachable(p, k, n):
+        raise AssertionError("brute_min_poly called above CYCLOKIT_MAX_Q")
+
+    monkeypatch.setattr(oracle_mod, "brute_min_poly", unreachable)
+    payload = invoke_json(runner, ["analyze", "--field", "q:23", "--n", "16"],
+                          env={"CYCLOKIT_MAX_Q": "16"})
+    assert payload["oracle_checked"] is False
+    assert payload["mismatches"] == []
+    results = payload["results"]
+    assert results["min_poly"]["trace_concrete"] == [19, 0]
+    assert results["min_poly"]["norm_concrete"] == [22, 0]
+    assert results["generator"]["square_value"] == [20, 0]
 
 
 @pytest.mark.parametrize(

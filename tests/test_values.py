@@ -3,10 +3,17 @@
 Each value type is pinned by the exact ``repr`` of a sample, by a hash equal
 to the hash of the tuple of its fields, and by refusing attribute
 assignment.  Normalisation, ordering and the rational-field default are
-checked separately.
+checked separately, and every annotation in the package must resolve.
 """
 
+import importlib
+import inspect
+import pkgutil
+import typing
+
 import pytest
+
+import cyclokit
 
 from cyclokit.automorphisms import FixingSubgroup, UnitGroup
 from cyclokit.field_profile import RATIONAL, ExtendedNat, FieldProfile
@@ -160,3 +167,34 @@ def test_default_field_profile_is_the_rationals():
     assert FieldProfile() == RATIONAL
     assert hash(FieldProfile()) == hash(RATIONAL)
     assert RATIONAL.is_rational
+
+
+def _defined_functions():
+    """Every function and method defined in a ``cyclokit`` module, the CLI and
+    the oracle included, unwrapped from its caches."""
+    for info in pkgutil.iter_modules(cyclokit.__path__):
+        module = importlib.import_module(f"cyclokit.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                fn = inspect.unwrap(member) if callable(member) else member
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    yield fn
+
+
+def test_every_annotation_in_the_package_resolves():
+    functions = list(_defined_functions())
+    names = {f"{fn.__module__}.{fn.__qualname__}" for fn in functions}
+    assert {"cyclokit.cli.main", "cyclokit.oracle.build_field",
+            "cyclokit.quadcyclo.min_poly", "cyclokit.roots.RootSum.from_terms",
+            "cyclokit.field_profile.FieldProfile.is_rational"} <= names
+    unresolved = []
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved.append(f"{fn.__module__}.{fn.__qualname__}: {exc}")
+    assert unresolved == []
