@@ -27,8 +27,10 @@ one mapping from failures to exit codes: 0 success, 1 verification
 mismatches, 2 usage errors (also a bad field spec or CYCLOKIT_MAX_Q found
 after parsing), 3 unmet mathematical preconditions, 4 size bounds exceeded.
 The environment variable CYCLOKIT_MAX_Q (default 1024) caps the field size
-for which the brute-force oracle is consulted; a value that is not a
-positive integer is a usage error.
+for which the brute-force oracle is consulted.  ``analyze`` and ``verify``
+read it once, at their start, whatever the field: a value that is not a
+positive integer is a usage error for them.  ``classify`` and ``moduli``
+never consult the oracle and ignore it.
 """
 
 from __future__ import annotations
@@ -61,19 +63,6 @@ class _UsageError(Exception):
     """A bad argument found after parsing; :func:`main` exits 2 with it."""
 
 
-def _max_q() -> int:
-    raw = os.environ.get("CYCLOKIT_MAX_Q", "")
-    if not raw.strip():
-        return DEFAULT_MAX_Q
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise _UsageError(f"CYCLOKIT_MAX_Q must be a positive integer, got {raw!r}")
-    return value
-
-
 class Report:
     """One command's JSON-serializable result envelope; :func:`main` prints
     its attributes in the order they are set here."""
@@ -95,10 +84,17 @@ def _parse_field_arg(spec: str) -> FieldProfile:
 
 
 def _oracle_refusal(field: FieldProfile) -> str | None:
-    """Why the brute-force oracle may not check this finite field (its q
-    exceeds CYCLOKIT_MAX_Q), or None."""
-    max_q = _max_q()
-    if field.q > max_q:
+    """Why the brute-force oracle may not check this field (a finite field
+    whose q exceeds CYCLOKIT_MAX_Q), or None.  It reads and validates
+    CYCLOKIT_MAX_Q on every field, so a malformed value is a usage error."""
+    raw = os.environ.get("CYCLOKIT_MAX_Q", "")
+    try:
+        max_q = int(raw) if raw.strip() else DEFAULT_MAX_Q
+    except ValueError:
+        max_q = 0
+    if max_q < 1:
+        raise _UsageError(f"CYCLOKIT_MAX_Q must be a positive integer, got {raw!r}")
+    if not field.is_rational and field.q > max_q:
         return f"field {render_field(field)} exceeds CYCLOKIT_MAX_Q={max_q}"
     return None
 
@@ -197,15 +193,16 @@ def _compare_min_poly(
 
 
 def _generator_json(
-    field: FieldProfile, n: int, realize: Callable[[RootSum], object] | None
+    field: FieldProfile, n: int, realize: Callable[[RootSum], object] | None,
+    trace: object,
 ) -> dict:
     """The generator's formal sums, with their values when ``realize`` (see
-    :func:`_realizer`) gives them."""
+    :func:`_realizer`) gives them; ``trace`` is the realized z + z^yogh, the
+    Artin-Schreier denominator."""
     if field.characteristic == 2:
         gen = quadcyclo.artin_schreier_generator(field, n)
         doc = {"type": "artin-schreier", **_as_json(gen)}
         if realize is not None:
-            trace = realize(gen.denominator)
             if trace.is_zero:
                 raise PreconditionError("zero trace: no Artin-Schreier generator")
             y = realize(RootSum.of(gen.numerator)) / trace
@@ -223,6 +220,7 @@ def _generator_json(
 def analyze(field_spec: str, n: int) -> Report:
     """Classification data of the n-th root of unity over the field."""
     field = _parse_field_arg(field_spec)
+    refusal = _oracle_refusal(field)
     degree = _degree(field, n)
     results: dict = {
         "n": n,
@@ -244,9 +242,10 @@ def analyze(field_spec: str, n: int) -> Report:
             "norm_symbolic": str(poly.norm_coeff),
         }
         realize = _realizer(field)
+        values = (None, None)
         if realize is not None:
             values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
-            report.oracle_checked = field.is_rational or _oracle_refusal(field) is None
+            report.oracle_checked = refusal is None
             if report.oracle_checked:
                 truth, report.mismatches = _compare_min_poly(field, poly, values)
             if not field.is_rational:
@@ -254,7 +253,7 @@ def analyze(field_spec: str, n: int) -> Report:
         results["min_poly_rendered"] = poly.render()
         if poly.shape is not None:
             results["trace_shape"] = poly.shape.render()
-        results["generator"] = _generator_json(field, n, realize)
+        results["generator"] = _generator_json(field, n, realize, values[0])
         results["kappa"] = _as_json(quadcyclo.kappa_class(field, canonical(n, 1)))
         if field.is_rational:
             results["integer_min_poly"] = _render_int_poly(*truth)

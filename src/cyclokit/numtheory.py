@@ -15,6 +15,9 @@ decides it, and Brent's rho with batched gcds splits it when composite.
 Over ``F_q`` the numbers that the moduli layer and the CLI factor are
 divisors of ``q^2 - 1``, so the same inputs recur: factorizations are
 memoised in a bounded cache behind the validating public function.
+:func:`factorize` refuses inputs above :data:`MAX_FACTOR_INPUT` and
+:func:`is_prime` inputs at or above psi_12; a function that takes only
+valuations (:func:`eps`) has no size bound.
 
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.
@@ -31,7 +34,6 @@ from .errors import SizeBoundError
 __all__ = [
     "MAX_FACTOR_INPUT",
     "ResidueClass",
-    "check_factor_input",
     "crt",
     "eps",
     "euler_phi",
@@ -168,17 +170,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Return the prime factorization of n as (prime, exponent) pairs.
 
     Pairs are sorted by ascending prime; ``factorize(1) == []``.  Inputs
-    above :data:`MAX_FACTOR_INPUT` raise :class:`SizeBoundError`.  Results
-    are memoised; each call returns a fresh list.
-    """
-    check_factor_input(n)
-    return list(_factorize(n))
-
-
-def check_factor_input(n: int) -> None:
-    """Refuse an n that :func:`factorize` refuses, with the same error.
-
-    ValueError below 1; :class:`SizeBoundError` above :data:`MAX_FACTOR_INPUT`.
+    below 1 raise ValueError, inputs above :data:`MAX_FACTOR_INPUT` raise
+    :class:`SizeBoundError`.  Results are memoised; each call returns a fresh
+    list.
     """
     if n < 1:
         raise ValueError(f"factorize input out of range: {n}")
@@ -187,6 +181,7 @@ def check_factor_input(n: int) -> None:
             f"factorize input out of range: {n.bit_length()} bits,"
             f" above {MAX_FACTOR_INPUT}"
         )
+    return list(_factorize(n))
 
 
 @lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)

@@ -22,9 +22,10 @@ Central objects, for a base field F and a primitive n-th root of unity z
   ``yogh``, the generators and the Galois image all read the same value;
 * radical and Artin-Schreier generators for the extension, as formal sums;
 * ``t_nF``; the property-C2 witness and the nu exponents, read off the
-  valuations of each |mu(K)| with no search; and ``kappa_class``, the
-  per-element classification datum whose vanishing cuts out exactly the
-  degree-2 roots of unity.
+  valuations of each |mu(K)| with no search and no factorization, so they
+  answer for every prime that ``numtheory.is_prime`` decides; and
+  ``kappa_class``, the per-element classification datum whose vanishing cuts
+  out exactly the degree-2 roots of unity.
 
 Every datum is symbolic: no explicit field is built here.  The CLI realizes
 concrete values in F_(q^2) with the brute-force oracle, which this module does
@@ -48,7 +49,7 @@ from .field_profile import (
     cos_sum_in_field,
     order_of_zeta,
 )
-from .numtheory import ResidueClass, check_factor_input, crt, eps
+from .numtheory import ResidueClass, crt, eps
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
 
 __all__ = [
@@ -340,14 +341,11 @@ def has_property_C2(field: FieldProfile) -> int | None:
 def nu(field: FieldProfile, p: int) -> ExtendedNat:
     """The p-power moduli exponent: the largest k with a p^k-th root in some
     quadratic cyclotomic extension K, max eps(|mu(K)|, p).  Over F_q that is
-    eps(q^2 - 1, p); over Q, 2, 1, 0 for p = 2, 3 and larger primes."""
+    eps(q^2 - 1, p); over Q, 2, 1, 0 for p = 2, 3 and larger primes.  Only
+    valuations are taken, so it answers for every prime that
+    ``numtheory.is_prime`` decides, at any size of q."""
     _check_prime_for(field, p)
-    top = max(eps(big, p) for big, _ in field.quadratic_extensions)
-    if not field.is_rational:
-        # Domain guard: over F_q, nu answers only where p^(top + 1), the least
-        # p-power order with no root in F_(q^2), is within factorize's bound.
-        check_factor_input(p ** (top + 1))
-    return ExtendedNat.finite(top)
+    return ExtendedNat.finite(max(eps(big, p) for big, _ in field.quadratic_extensions))
 
 
 def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:

@@ -75,6 +75,15 @@ def divisors(n):
     return small + large[::-1]
 
 
+def valuation(m, p):
+    """The exponent of the prime p in m, by repeated division."""
+    k = 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return k
+
+
 def parts_product(n):
     """The primitive n-th root assembled from canonical prime-power parts.
 

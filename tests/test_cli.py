@@ -19,6 +19,8 @@ import cyclokit.quadcyclo as quadcyclo_mod
 from cyclokit.cli import main
 from cyclokit.numtheory import ResidueClass
 
+from conftest import valuation
+
 
 class Runner:
     """Runs ``main(args)`` in-process, as the console script does, and
@@ -234,6 +236,13 @@ def test_analyze_over_q_computes_the_oracle_polynomial_once(runner, monkeypatch)
     assert calls == [(3,)]
 
 
+def test_analyze_realizes_the_trace_once_in_characteristic_two(runner, monkeypatch):
+    # z + z^yogh is both the min-poly trace and the Artin-Schreier denominator.
+    calls = count_calls(monkeypatch, oracle_mod, "evaluate_sum")
+    invoke_json(runner, ["analyze", "--field", "q:2", "--n", "3"])
+    assert [str(s) for _, s in calls] == ["z(3,1) + z(3,2)", "z(1,0)", "z(3,1)"]
+
+
 def test_verify_reads_the_oracle_gate_once(runner, monkeypatch):
     calls = count_calls(monkeypatch, cli_mod, "_oracle_refusal")
     payload = invoke_json(runner, ["verify", "--field", "q:5"])
@@ -278,20 +287,34 @@ def test_inputs_beyond_factorization_bound_exit_four(runner, args):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "q, p, classes",
     [
-        # The least prime above 2^63: nu refuses p^1 over F_23.
-        ["moduli", "--field", "q:23", "--prime", "9223372036854775837"],
-        # 6074001839 = 2 * 3037000919 + 1: nu refuses 3037000919^2.
-        ["moduli", "--field", "q:6074001839", "--prime", "3037000919"],
+        # The least prime above 2^63 divides neither q - 1 nor q + 1.
+        (23, 9223372036854775837, []),
+        # q - 1 = 2 * 3037000919: the p-th roots lie in F_q.
+        (6074001839, 3037000919, []),
+        # q + 1 = 2 * 3037000507: the p-th roots are quadratic.
+        (6074001013, 3037000507, [{
+            "primes": [3037000507],
+            "representative_n": 3037000507,
+            "minpoly": "x^2 - (z(3037000507,1) + z(3037000507,3037000506))*x"
+                       " + (z(1,0))",
+        }]),
     ],
 )
-def test_moduli_prime_powers_above_the_factorize_bound_exit_four(runner, args):
-    result = runner.invoke(main, args)
-    assert result.exit_code == 4
-    assert result.stderr == (
-        "error: factorize input out of range: 64 bits, above 9223372036854775807\n")
-    assert result.stdout == ""
+def test_moduli_prime_answers_above_the_factorize_bound(runner, q, p, classes):
+    # p^(nu + 1) exceeds 2^63, but the per-prime moduli are valuations only:
+    # for odd p, ell = eps(q - 1, p) and nu = nu_plus = eps(q^2 - 1, p).
+    ell, nu = valuation(q - 1, p), valuation(q - 1, p) + valuation(q + 1, p)
+    payload = invoke_json(runner, ["moduli", "--field", f"q:{q}", "--prime", str(p)])
+    results = payload["results"]
+    assert (results["nu"], results["nu_plus"], results["ell"]) == (nu, nu, ell)
+    assert results["per_prime"] == {
+        "kind": "PerPrime",
+        "presentation": f"mu({p**nu}) - mu({p**ell})",
+        "cardinality": p**nu - p**ell,
+        "classes": classes,
+    }
 
 
 #: psi_12, the least strong pseudoprime to the 12 prime bases up to 37.
@@ -523,6 +546,30 @@ def test_bad_max_q_is_a_usage_error(runner, value):
     assert isinstance(result.exception, SystemExit)
     assert "CYCLOKIT_MAX_Q" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--field", "Q", "--n", "4"],
+        # F_(2^22) is above the oracle's field bound: nothing is realized.
+        ["analyze", "--field", "q:2^11", "--n", "3"],
+        # 11 divides 23 - 1: the root lies in F_23, so it is not quadratic.
+        ["analyze", "--field", "q:23", "--n", "11"],
+    ],
+)
+def test_analyze_reads_the_oracle_gate_on_every_field(runner, args):
+    # analyze reads CYCLOKIT_MAX_Q at its start, also where the oracle has
+    # nothing to check.
+    result = runner.invoke(main, args, env={"CYCLOKIT_MAX_Q": "abc"})
+    assert result.exit_code == 2
+    assert "CYCLOKIT_MAX_Q" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["classify", "moduli"])
+def test_symbolic_commands_ignore_the_oracle_gate(runner, command):
+    invoke_json(runner, [command, "--field", "q:23"], env={"CYCLOKIT_MAX_Q": "abc"})
 
 
 # ---------------------------------------------------------------------------

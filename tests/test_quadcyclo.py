@@ -25,7 +25,6 @@ from cyclokit import (
     PreconditionError,
     RootSum,
     Sign,
-    SizeBoundError,
     artin_schreier_generator,
     canonical,
     contains_root,
@@ -59,7 +58,7 @@ from cyclokit.oracle import (
     evaluate_sum_rational,
 )
 
-from conftest import artin_schreier_values, divisors, prime_powers
+from conftest import artin_schreier_values, divisors, prime_powers, valuation
 
 
 Q = rational()
@@ -535,7 +534,7 @@ def test_nu_frozen_values():
     assert nu(Q, 3).finite_value() == 1
     assert nu(Q, 5).finite_value() == 0
     assert nu_plus(Q, 2).finite_value() == 2
-    # Over Q, nu answers at primes above factorize's bound, unlike over F_23.
+    # nu answers at primes above factorize's bound.
     assert nu(Q, 9223372036854775837).finite_value() == 0
     assert nu_plus(Q, 9223372036854775837).finite_value() == 0
 
@@ -546,12 +545,17 @@ def test_nu_at_a_large_prime_of_q2_minus_1_makes_no_rho_call(rho_calls):
     assert rho_calls == []
 
 
-@pytest.mark.parametrize("q, p", [(23, 9223372036854775837), (6074001839, 3037000919)])
-def test_nu_plus_refuses_prime_powers_above_the_factorize_bound(q, p):
-    # nu_plus answers only where p^(eps(q^2 - 1, p) + 1) is within
-    # factorize's bound: p^1 and p^2 here lie above it.
-    with pytest.raises(SizeBoundError):
-        nu_plus(finite_field(q), p)
+@pytest.mark.parametrize(
+    "q, p",
+    [(23, 9223372036854775837), (6074001839, 3037000919), (6074001013, 3037000507)],
+)
+def test_nu_answers_at_prime_powers_above_the_factorize_bound(q, p):
+    # p^(nu + 1) exceeds 2^63 here; for odd p, nu = nu_plus = eps(q^2 - 1, p),
+    # the sum of the valuations of q - 1 and q + 1.
+    field = finite_field(q)
+    expected = valuation(q - 1, p) + valuation(q + 1, p)
+    assert nu(field, p).finite_value() == expected
+    assert nu_plus(field, p).finite_value() == expected
 
 
 def test_nu_rejects_characteristic():
