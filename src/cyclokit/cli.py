@@ -51,9 +51,10 @@ from .field_profile import (
     n_F,
     order_of_zeta,
     parse_field,
+    prime_basis,
     render_field,
 )
-from .numtheory import euler_phi, factorize, is_prime, mult_order
+from .numtheory import euler_phi, is_prime, mult_order
 from .roots import MuSubset, RootOfUnity, RootSum, canonical, describe
 
 DEFAULT_MAX_Q = 1024
@@ -111,9 +112,10 @@ def _realizer(field: FieldProfile) -> Callable[[RootSum], object] | None:
     return partial(oracle.evaluate_sum, oracle.build_field(field.p, 2 * field.k))
 
 
-def _divisors(m: int) -> list[int]:
+def _divisors(field: FieldProfile) -> list[int]:
+    """The divisors of q^2 - 1, ascending, from the field's prime basis."""
     divs = [1]
-    for p, e in factorize(m):
+    for p, _, e in prime_basis(field)[0]:
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
 
@@ -296,11 +298,10 @@ def verify(field_spec: str, max_n: int | None) -> Report:
     if realize is None:
         raise SizeBoundError(
             f"quadratic extension size {field.q}^2 exceeds {oracle.MAX_FIELD_SIZE}")
-    q = field.q
-    bound = q * q - 1 if max_n is None else max_n
+    bound = field.q**2 - 1 if max_n is None else max_n
     mismatches: list[dict] = []
     checked = 0
-    for n in _divisors(q * q - 1):
+    for n in _divisors(field):
         if n > bound:
             break
         checked += 1

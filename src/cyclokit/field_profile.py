@@ -25,11 +25,12 @@ trivial and silent reduction would mask caller bugs.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
 from .errors import PreconditionError, SizeBoundError
-from .numtheory import ResidueClass, eps, is_prime
+from .numtheory import ResidueClass, eps, factorize, is_prime
 from .roots import RootOfUnity
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "n_F",
     "order_of_zeta",
     "parse_field",
+    "prime_basis",
     "rational",
     "render_field",
 ]
@@ -133,6 +135,21 @@ class FieldProfile(NamedTuple):
             return ((4, 3), (6, 5))
         q = self.p**self.k
         return ((q * q - 1, q),)
+
+
+@lru_cache(maxsize=256)
+def prime_basis(field: FieldProfile) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per K of ``quadratic_extensions``, each prime p of |mu(K)| ascending as
+    (p, eps(|mu(F)|, p), eps(|mu(K)|, p)), from |mu(F)| and |mu(K)| / |mu(F)|
+    factored apart (q - 1 and q + 1 over F_q); memoised, built on first use."""
+    base = dict(factorize(field.roots_of_unity))
+    basis = []
+    for big, _ in field.quadratic_extensions:
+        full = dict(base)
+        for p, e in factorize(big // field.roots_of_unity):
+            full[p] = full.get(p, 0) + e
+        basis.append(tuple([(p, base.get(p, 0), full[p]) for p in sorted(full)]))
+    return tuple(basis)
 
 
 #: The field of rational numbers.

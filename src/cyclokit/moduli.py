@@ -14,7 +14,7 @@ object of its fields, so their field names are the report keys.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -23,8 +23,9 @@ from .field_profile import (
     contains_root,
     ell,
     order_of_zeta,
+    prime_basis,
 )
-from .numtheory import eps, factorize, pfree_quotient
+from .numtheory import factorize, pfree_quotient
 from .quadcyclo import (
     artin_schreier_generator,
     is_quadratic,
@@ -208,8 +209,12 @@ def field_equal(field: FieldProfile, n: int, m: int) -> bool:
 
 
 def s_n(field: FieldProfile, n: int) -> frozenset[int]:
-    """The primes dividing the order of the n-th root in K*/F*."""
-    return frozenset(p for p, _ in factorize(order_of_zeta(field, n)))
+    """The primes of the n-th root's order in K*/F*, read off :func:`prime_basis`."""
+    m = order_of_zeta(field, n)
+    primes = {p for factors in prime_basis(field) for p, _, _ in factors if m % p == 0}
+    while (g := gcd(m, prod(primes))) > 1:
+        m //= g
+    return frozenset(primes.union(p for p, _ in factorize(m)))
 
 
 class SMaxClass(NamedTuple):
@@ -237,35 +242,23 @@ def s_max(field: FieldProfile) -> SMaxPartition:
 
     One class per quadratic cyclotomic extension K, with w = |mu(F)| and
     big = |mu(K)|: its primes are those whose exponent in big exceeds that
-    in w, and its roots are Mu(big) - Mu(w), each factor split by prime.
-    Over F_q that is the single class of F_(q^2) (big = q^2 - 1); over the
-    rationals the classes are {2} (Q(zeta_4), big = 4) and {3} (Q(zeta_3),
-    big = 6).
+    in w, read off :func:`prime_basis`, and its roots are Mu(big) - Mu(w),
+    each factor split by prime.  Over F_q that is the single class of
+    F_(q^2) (big = q^2 - 1); over the rationals the classes are {2}
+    (Q(zeta_4), big = 4) and {3} (Q(zeta_3), big = 6).
     """
     w = field.roots_of_unity
     classes: list[SMaxClass] = []
-    for big, _ in field.quadratic_extensions:
-        primes: list[int] = []
-        rep = 1
-        mu_m_factors: list[MuSubset] = []
-        mu_mf_factors: list[MuSubset] = []
-        remainder = 1
-        for p, e2 in factorize(big):
-            e1 = eps(w, p)
-            if e2 > e1:
-                primes.append(p)
-                rep *= p ** (e1 + 1)
-                mu_m_factors.append(Mu(p**e2))
-                mu_mf_factors.append(Mu(p**e1))
-            else:
-                remainder *= p**e1
-        mu_m_factors.append(Mu(remainder))
-        mu_mf_factors.append(Mu(remainder))
+    for (big, _), factors in zip(field.quadratic_extensions, prime_basis(field)):
+        jumps = [(p, e1, e2) for p, e1, e2 in factors if e2 > e1]
+        rep = prod(p ** (e1 + 1) for p, e1, _ in jumps)
+        remainder = Mu(prod(p**e1 for p, e1, e2 in factors if e2 == e1))
         presentation = Difference(
-            InternalProduct(tuple(mu_m_factors)), InternalProduct(tuple(mu_mf_factors))
+            InternalProduct((*(Mu(p**e2) for p, _, e2 in jumps), remainder)),
+            InternalProduct((*(Mu(p**e1) for p, e1, _ in jumps), remainder)),
         )
-        poly = min_poly(field, rep).render()
-        classes.append(SMaxClass(tuple(primes), rep, poly, presentation, big - w))
+        primes = tuple(p for p, _, _ in jumps)
+        classes.append(SMaxClass(*_class_for(field, primes, rep), presentation, big - w))
     return SMaxPartition(tuple(classes))
 
 

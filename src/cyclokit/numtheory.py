@@ -11,13 +11,12 @@ supporting ``+``, ``-``, ``*`` with integers).
 :func:`factorize` divides by a table of the primes below 8000, built at
 import by a sieve.  The cofactor left over is prime when it is below the
 square of the largest table prime; otherwise deterministic Miller-Rabin
-decides it, and Brent's rho with batched gcds splits it when composite.
-Over ``F_q`` the numbers that the moduli layer and the CLI factor are
-divisors of ``q^2 - 1``, so the same inputs recur: factorizations are
-memoised in a bounded cache behind the validating public function.
+decides it, and Brent's rho with batched gcds splits it when composite.  Over
+``F_q`` the moduli layer and the CLI factor ``q - 1`` and ``q + 1`` apart,
+never ``q^2 - 1`` (``field_profile.prime_basis``); results are memoised.
 :func:`factorize` refuses inputs above :data:`MAX_FACTOR_INPUT` and
-:func:`is_prime` inputs at or above psi_12; a function that takes only
-valuations (:func:`eps`) has no size bound.
+:func:`is_prime` inputs at or above psi_12; :func:`eps`, which takes only
+valuations, has no size bound.
 
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.

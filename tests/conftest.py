@@ -12,6 +12,7 @@ import pytest
 from cyclokit import (
     artin_schreier_generator,
     canonical,
+    field_profile,
     identity,
     is_prime,
     multiply,
@@ -26,11 +27,12 @@ from cyclokit.oracle import build_field, embed_root, evaluate_sum
 def rho_calls(monkeypatch):
     """The inputs of every Brent rho call, recorded from cold memos.
 
-    The factorization memo is cleared first, and so is the quadratic root
-    data memo above it, so a split that an earlier test already paid for is
-    paid again here.
+    The factorization memo is cleared first, and so are the memos above it
+    (the per-field prime basis and the quadratic root data), so a split that
+    an earlier test already paid for is paid again here.
     """
     numtheory._factorize.cache_clear()
+    field_profile.prime_basis.cache_clear()
     quadcyclo.min_poly.cache_clear()
     calls = []
     rho = numtheory._brent_rho

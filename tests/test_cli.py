@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ import cyclokit.cli as cli_mod
 import cyclokit.oracle as oracle_mod
 import cyclokit.quadcyclo as quadcyclo_mod
 from cyclokit.cli import main
-from cyclokit.numtheory import ResidueClass
+from cyclokit.numtheory import MAX_FACTOR_INPUT, ResidueClass, is_prime
 
 from conftest import valuation
 
@@ -275,7 +276,7 @@ def test_analyze_realizes_values_above_the_oracle_gate_without_checking(
     [
         ["analyze", "--field", "Q", "--n", "99999999999999999999"],
         ["moduli", "--field", "q:2^100"],
-        ["classify", "--field", "q:4294967291"],
+        ["classify", "--field", "q:18446744073709551557"],
     ],
 )
 def test_inputs_beyond_factorization_bound_exit_four(runner, args):
@@ -284,6 +285,38 @@ def test_inputs_beyond_factorization_bound_exit_four(runner, args):
     assert isinstance(result.exception, SystemExit)
     assert "out of range" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "q, minus, plus",
+    [
+        (4294967291, [(2, 1), (5, 1), (19, 1), (22605091, 1)],
+         [(2, 2), (3, 2), (7, 1), (11, 1), (31, 1), (151, 1), (331, 1)]),
+        (9223372036854775783,
+         [(2, 1), (3, 4), (17, 1), (23, 1), (319279, 1), (456065899, 1)],
+         [(2, 3), (1177067, 1), (979486728119, 1)]),
+    ],
+)
+def test_classify_and_moduli_answer_while_q_plus_one_is_in_range(runner, q, minus, plus):
+    # q^2 - 1 is above MAX_FACTOR_INPUT, but q - 1 and q + 1, which the prime
+    # basis factors apart, are not.
+    assert q + 1 <= MAX_FACTOR_INPUT < q * q - 1
+    for n, factors in ((q - 1, minus), (q + 1, plus)):
+        assert prod(p**e for p, e in factors) == n
+        assert all(is_prime(p) and valuation(n, p) == e for p, e in factors)
+    # The class's primes are those whose exponent in q^2 - 1 exceeds the one
+    # in q - 1: exactly the primes of q + 1.
+    primes = [p for p, _ in plus]
+    nu = {str(p): valuation(q - 1, p) + e for p, e in plus}
+    rep = prod(p ** (valuation(q - 1, p) + 1) for p in primes)
+    classify = invoke_json(runner, ["classify", "--field", f"q:{q}"])["results"]
+    moduli = invoke_json(runner, ["moduli", "--field", f"q:{q}"])["results"]
+    for results in (classify, moduli):
+        (cls,) = results["s_max"]["classes"]
+        assert (cls["primes"], cls["representative_n"]) == (primes, rep)
+        assert cls["cardinality"] == q * q - q
+    assert classify["nu"] == nu
+    assert moduli["full_moduli"]["cardinality"] == q * q - q
 
 
 @pytest.mark.parametrize(
