@@ -13,10 +13,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .field_profile import FieldProfile, contains_root
+from .field_profile import FieldProfile
 from .numtheory import ResidueClass
-from .quadcyclo import is_quadratic, yogh
-from .roots import canonical
+from .quadcyclo import bounded_degree, yogh
 
 __all__ = [
     "FixingSubgroup",
@@ -83,9 +82,10 @@ def galois_image(field: FieldProfile, n: int) -> tuple[ResidueClass, ...]:
     Supported degrees are 1 (the root lies in F: trivial image) and 2
     (the image is {1, yogh}); larger degrees raise PreconditionError.
     """
-    if contains_root(field, canonical(n, 1)):
+    degree = bounded_degree(field, n)
+    if degree == 1:
         return (ResidueClass(1 % n, n),)
-    if is_quadratic(field, n):
+    if degree == 2:
         k = yogh(field, n)
         return tuple(sorted((ResidueClass(1 % n, n), k)))
     raise PreconditionError(f"extension by the {n}-th root has degree above 2")

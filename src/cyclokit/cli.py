@@ -120,13 +120,6 @@ def _divisors(field: FieldProfile) -> list[int]:
     return sorted(divs)
 
 
-def _degree(field: FieldProfile, n: int) -> int:
-    n_F(field, n)  # validates positivity and coprimality to the characteristic
-    if field.is_rational:
-        return euler_phi(n)
-    return mult_order(field.q, n)
-
-
 def _render_int_poly(trace: int, norm: int) -> str:
     """x^2 - trace*x + norm, with integer coefficients, as text."""
     parts = ["x^2"]
@@ -223,7 +216,9 @@ def analyze(field_spec: str, n: int) -> Report:
     """Classification data of the n-th root of unity over the field."""
     field = _parse_field_arg(field_spec)
     refusal = _oracle_refusal(field)
-    degree = _degree(field, n)
+    degree = quadcyclo.bounded_degree(field, n)  # n is factored only above 2
+    if degree > 2:
+        degree = euler_phi(n) if field.is_rational else mult_order(field.q, n)
     results: dict = {
         "n": n,
         "degree": degree,

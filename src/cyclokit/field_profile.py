@@ -25,7 +25,7 @@ trivial and silent reduction would mask caller bugs.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -96,15 +96,22 @@ class Sign(enum.Enum):
     MINUS = "minus"
 
 
-class FieldProfile(NamedTuple):
+class _Profile(NamedTuple):
+    p: int = 0
+    k: int = 0
+
+
+class FieldProfile(_Profile):
     """Profile of a supported base field: the rationals or F_(p^k).
 
     For the rationals, ``p == k == 0``; for finite fields, ``p`` is the
     (prime) characteristic and ``k >= 1`` the degree over the prime field.
+    The sizes ``q``, ``roots_of_unity`` and ``quadratic_extensions`` are
+    computed on first read and kept; no attribute can be set.
     """
 
-    p: int = 0
-    k: int = 0
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FieldProfile is immutable: cannot set {name!r}")
 
     @property
     def is_rational(self) -> bool:
@@ -114,27 +121,26 @@ class FieldProfile(NamedTuple):
     def characteristic(self) -> int:
         return self.p
 
-    @property
+    @cached_property
     def q(self) -> int:
         """The field size p^k (finite fields only)."""
         if self.is_rational:
             raise ValueError("the rational field has no finite size q")
         return self.p**self.k
 
-    @property
+    @cached_property
     def roots_of_unity(self) -> int:
         """|mu(F)|, the number of roots of unity in F: q - 1, or 2 for Q."""
-        return 2 if self.is_rational else self.p**self.k - 1
+        return 2 if self.is_rational else self.q - 1
 
-    @property
+    @cached_property
     def quadratic_extensions(self) -> tuple[tuple[int, int], ...]:
         """(|mu(K)|, c) per quadratic cyclotomic extension K, with z -> z^c
         K's conjugation: (q^2 - 1, q) for F_(q^2), by Frobenius, or (4, 3)
         and (6, 5) for Q(zeta_4) and Q(zeta_3), by inversion."""
         if self.is_rational:
             return ((4, 3), (6, 5))
-        q = self.p**self.k
-        return ((q * q - 1, q),)
+        return ((self.q * self.q - 1, self.q),)
 
 
 @lru_cache(maxsize=256)
@@ -207,7 +213,7 @@ def render_field(field: FieldProfile) -> str:
 def _check_coprime_to_char(field: FieldProfile, n: int) -> None:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    if not field.is_rational and n % field.p == 0:
+    if field.p and n % field.p == 0:
         raise PreconditionError(
             f"characteristic {field.p} divides the root order {n}"
         )

@@ -14,20 +14,16 @@ object of its fields, so their field names are the report keys.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, prod
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .field_profile import (
-    FieldProfile,
-    contains_root,
-    ell,
-    order_of_zeta,
-    prime_basis,
-)
-from .numtheory import factorize, pfree_quotient
+from .field_profile import FieldProfile, contains_root, order_of_zeta, prime_basis
+from .numtheory import eps, factorize, pfree_quotient
 from .quadcyclo import (
     artin_schreier_generator,
+    bounded_degree,
     is_quadratic,
     kappa_class,
     min_poly,
@@ -113,7 +109,7 @@ def m2p(field: FieldProfile, p: int) -> ModuliDescription:
     p^(ell+1)-th root.
     """
     nu_val = nu(field, p).finite_value()
-    ell_val = ell(field, p).finite_value()
+    ell_val = eps(field.roots_of_unity, p)
     presentation = Difference(Mu(p**nu_val), Mu(p**ell_val))
     classes: tuple[ModuliClass, ...] = ()
     if nu_val > ell_val:
@@ -132,9 +128,8 @@ def g2(field: FieldProfile) -> ModuliDescription:
     """
     if field.characteristic == 2:
         return ModuliDescription(KIND_ORDER_TWO, Difference(Mu(1), Mu(1)), 0, ())
-    ell_val = ell(field, 2).finite_value()
-    half = 2 ** (ell_val + 1)
-    odd_part = pfree_quotient(field.roots_of_unity, 2)
+    ell_val = eps(field.roots_of_unity, 2)
+    half, odd_part = 2 ** (ell_val + 1), field.roots_of_unity >> ell_val
     presentation = InternalProduct((PrimSet(half), Mu(odd_part)))
     cardinality = (half // 2) * odd_part
     return ModuliDescription(
@@ -173,8 +168,7 @@ def g2_star(field: FieldProfile, z1: RootOfUnity, z2: RootOfUnity) -> RootOfUnit
 
     The identity element is the primitive 2^(ell+1)-th root itself.
     """
-    ell_val = ell(field, 2).finite_value()
-    half = 2 ** (ell_val + 1)
+    half = 2 ** (eps(field.roots_of_unity, 2) + 1)
     for z in (z1, z2):
         if not g2_membership(field, z):
             raise PreconditionError(f"{z} does not have order 2 in K*/F*")
@@ -183,29 +177,20 @@ def g2_star(field: FieldProfile, z1: RootOfUnity, z2: RootOfUnity) -> RootOfUnit
     return multiply(canonical(half, k1 * k2), multiply(w1, w2))
 
 
-def _bounded_degree(field: FieldProfile, n: int) -> int:
-    """The extension degree of the n-th root, collapsed to 1, 2, or 3 (">2")."""
-    if contains_root(field, canonical(n, 1)):
-        return 1
-    if is_quadratic(field, n):
-        return 2
-    return 3
-
-
 def field_equal(field: FieldProfile, n: int, m: int) -> bool:
     """Whether F(z_n) = F(z_m), for extensions of equal degree 1 or 2.
 
     Decided through the lcm: the compositum F(z_n, z_m) is F(z_lcm), so the
     two fields coincide exactly when the lcm's degree does not grow.
     """
-    d_n = _bounded_degree(field, n)
-    d_m = _bounded_degree(field, m)
+    d_n = bounded_degree(field, n)
+    d_m = bounded_degree(field, m)
     if d_n > 2 or d_m > 2:
         raise PreconditionError("only degrees 1 and 2 are supported")
     if d_n != d_m:
         raise PreconditionError(f"unequal degrees {d_n} and {d_m}")
     lcm = n // gcd(n, m) * m
-    return _bounded_degree(field, lcm) == d_n
+    return bounded_degree(field, lcm) == d_n
 
 
 def s_n(field: FieldProfile, n: int) -> frozenset[int]:
@@ -237,6 +222,7 @@ class SMaxPartition(NamedTuple):
     classes: tuple[SMaxClass, ...]
 
 
+@lru_cache(maxsize=256)
 def s_max(field: FieldProfile) -> SMaxPartition:
     """The partition of quadratic cyclotomic extensions by maximal prime sets.
 

@@ -90,7 +90,7 @@ class ResidueClass(_Residue):
     def __new__(cls, value: int, modulus: int) -> "ResidueClass":
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
-        return super().__new__(cls, value % modulus, modulus)
+        return tuple.__new__(cls, (value % modulus, modulus))
 
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
@@ -209,11 +209,11 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def eps(n: int, p: int) -> int:
-    """The p-adic valuation of n: the largest e with p^e dividing n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    """The largest e with p^e dividing n, for n >= 1 and any p >= 2: the
+    p-adic valuation when p is prime.  It does not test p for primality;
+    the public functions that take a prime from a caller test it once."""
+    if n < 1 or p < 2:
+        raise ValueError(f"eps needs n >= 1 and p >= 2, got n={n}, p={p}")
     e = 0
     while n % p == 0:
         n //= p

@@ -1,17 +1,17 @@
 """Independent brute-force layer: explicit finite fields and exact cyclotomic
 arithmetic over the integers.
 
-This module uses none of the formula-based classification modules: orders
-are found by exhaustive scan, minimal polynomials by applying the q-power
-map, and rational minimal polynomials by expanding products in an explicit
-quotient ring.  Its integer helpers are its own: trial division finds the
-primes of the small numbers it meets (q - 1 and p below the field bound, the
-degree k), and the rational degree check counts units.  From ``roots`` it
-takes only the exponent-class types ``RootOfUnity`` and ``RootSum``, which
-:func:`evaluate_sum` realizes.  No formula module imports it, so ``import
-cyclokit`` does not load it: only the CLI's ``analyze`` and ``verify``,
-which realize concrete values and cross-check them, and the test suite do.
-Agreement of the two layers is the point.
+This module uses none of the formula-based classification modules: orders are
+found from the group order q + 1 alone, minimal polynomials by applying the
+q-power map, and rational minimal polynomials by expanding products in an
+explicit quotient ring.  Its integer helpers are its own: trial division
+finds the primes of the small numbers it meets (q - 1, p and gcd(n, q + 1)
+below the field bound, the degree k), and the rational degree check counts
+units.  From ``roots`` it takes only the exponent-class types ``RootOfUnity``
+and ``RootSum``, which :func:`evaluate_sum` realizes.  No formula module
+imports it, so ``import cyclokit`` does not load it: only the CLI's
+``analyze`` and ``verify``, which realize concrete values and cross-check
+them, and the test suite do.  Agreement of the two layers is the point.
 
 An element of an explicit field is one packed int, and a product is one
 big-int multiplication and a Barrett reduction (see :class:`ExplicitField`).
@@ -19,9 +19,10 @@ The q-power test ("is w fixed by x -> x^q?") never raises w to the q-th
 power.  x -> x^q is F_p-linear on coordinates, so each field memoises its
 matrix once: the columns are the images of the basis 1, x, ..., x^(k-1),
 computed with the field's own multiplication, packed by rows so that a test
-is one product.  The scans then step by one multiplication per candidate.
-No exponent or discrete-logarithm arithmetic enters, which would be the
-formula layer's own reasoning.
+is one product.  :func:`brute_order` tests the powers of zeta_n that the
+group order q + 1 allows, and :func:`brute_moduli` steps through K* by one
+multiplication per element.  No discrete logarithm enters, nor the formula
+layer's own reasoning.
 
 Determinism: a field is always built on the lexicographically smallest monic
 irreducible modulus (scanning ascending integer encodings of the coefficient
@@ -379,20 +380,22 @@ def _frobenius(w: FFElement, q: int) -> FFElement:
 
 
 def brute_order(p: int, k: int, n: int) -> int:
-    """Order of the n-th root over F_(p^k) by scan in the quadratic extension.
+    """Order of the n-th root over F_(p^k) in K*/F*, K the quadratic extension.
 
-    Returns the smallest t >= 1 such that zeta_n^t lands in the base field,
-    where membership is tested literally as being fixed by the q-power map.
+    The order divides n and, by Lagrange, |K*/F*| = q + 1, so it divides
+    t = gcd(n, q + 1): starting there, each prime r of t is stripped while
+    zeta_n^(t/r) still lands in the base field, where membership is tested
+    literally as being fixed by the q-power map.  Only the group order q + 1
+    enters, never the formula layer's gcd(n, q - 1).
     """
     E2 = build_field(p, 2 * k)
     zeta = find_root_of_unity(E2, n).value
-    (rows, mids), mul, slotmod = _frobenius_matrix(E2, p**k), E2._mul, E2._slotmod
-    w = zeta
-    for t in range(1, n + 1):
-        if not slotmod((w * rows) & mids):  # w^q - w = 0
-            return t
-        w = mul(w, zeta)
-    raise ArithmeticError("order scan failed")  # pragma: no cover
+    (rows, mids), slotmod = _frobenius_matrix(E2, p**k), E2._slotmod
+    t = gcd(n, p**k + 1)
+    for r in _prime_factors(t):
+        while t % r == 0 and not slotmod((E2._pow(zeta, t // r) * rows) & mids):
+            t //= r
+    return t
 
 
 def brute_min_poly(p: int, k: int, n: int) -> tuple[FFElement, FFElement]:

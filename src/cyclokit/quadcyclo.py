@@ -4,7 +4,9 @@ polynomials, generators, and the kappa classification data.
 Central objects, for a base field F and a primitive n-th root of unity z
 (characteristic coprime to n):
 
-* ``is_quadratic`` — whether adjoining z gives a degree-2 extension;
+* ``bounded_degree`` — the degree of F(z) over F, collapsed to 1, 2, or 3
+  (">2") and read off |mu(F)| and q^2 - 1 by remainders, and
+  ``is_quadratic``, whether that degree is 2;
 * ``yogh`` — the conjugation exponent: the unique k mod n, coprime to n,
   such that z + z^k and z^(k+1) both lie in F.  Equivalently, the nontrivial
   automorphism of the extension sends z to z^k.  On each coherent
@@ -45,9 +47,7 @@ from .field_profile import (
     Sign,
     _check_coprime_to_char,
     _check_prime_for,
-    contains_root,
     cos_sum_in_field,
-    order_of_zeta,
 )
 from .numtheory import ResidueClass, crt, eps
 from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
@@ -67,6 +67,7 @@ __all__ = [
     "RadicalGenerator",
     "TraceShape",
     "artin_schreier_generator",
+    "bounded_degree",
     "has_property_C2",
     "is_quadratic",
     "kappa_class",
@@ -97,15 +98,20 @@ _ROOT_DATA_CACHE_SIZE = 4096
 
 
 def is_quadratic(field: FieldProfile, n: int) -> bool:
-    """Whether adjoining a primitive n-th root of unity has degree 2 over F.
+    """Whether adjoining a primitive n-th root of unity has degree 2 over F."""
+    return bounded_degree(field, n) == 2
 
-    Over Q that is phi(n) = 2, i.e. n in {3, 4, 6}, decided without factoring n.
-    """
+
+def bounded_degree(field: FieldProfile, n: int) -> int:
+    """The degree of F(z_n)/F collapsed to 1, 2, or 3 (">2"), without
+    factoring n: 1 when n divides |mu(F)|; 2 when n divides q^2 - 1 over
+    F_q, or over Q when phi(n) = 2, i.e. n in {3, 4, 6}; else 3."""
     _check_coprime_to_char(field, n)
+    if field.roots_of_unity % n == 0:
+        return 1
     if field.is_rational:
-        return n in (3, 4, 6)
-    q = field.q
-    return (q * q - 1) % n == 0 and (q - 1) % n != 0
+        return 2 if n in (3, 4, 6) else 3
+    return 2 if (field.q * field.q - 1) % n == 0 else 3
 
 
 def _components(field: FieldProfile, n: int) -> tuple[int, int, int, int, int]:
@@ -116,7 +122,7 @@ def _components(field: FieldProfile, n: int) -> tuple[int, int, int, int, int]:
     o = n / n_F: so o2 = o & -o, and an odd component lies outside F exactly
     when its prime divides o.
     """
-    o = order_of_zeta(field, n)
+    o = n // gcd(n, field.roots_of_unity)
     two, o2 = n & -n, o & -o
     rest, outside = n // two, 1
     g = gcd(rest, o)
@@ -133,6 +139,7 @@ def t_nF(field: FieldProfile, n: int) -> int:
     order (see :func:`_components`): odd p^e contributes p^e when outside F
     (else 1); 2^e contributes 1, 2, or 2^e as its order o_2 is 1, 2, or more.
     """
+    _check_coprime_to_char(field, n)
     return _components(field, n)[4]
 
 
@@ -255,7 +262,7 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     if gcd(k.value, n) != 1:  # pragma: no cover - sanity
         raise ArithmeticError("conjugation exponent not a unit")
     z = canonical(n, 1)
-    if not contains_root(field, power(z, k.value + 1)):
+    if field.roots_of_unity % power(z, k.value + 1).denominator:
         raise ArithmeticError("norm of the conjugate pair escaped the base field")
     if o == 2:
         tag = CASE_RADICAL
@@ -319,6 +326,7 @@ def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenera
     return ArtinSchreierGenerator(z, RootSum.of(z, power(z, k)))
 
 
+@lru_cache(maxsize=256)
 def has_property_C2(field: FieldProfile) -> int | None:
     """The unique e with the 2^e root outside F, its t-value not 2, and the
     minus sum inside F — or None when no such exponent exists.
@@ -401,6 +409,7 @@ def kappa_class(field: FieldProfile, z: RootOfUnity) -> KappaClass:
     order exactly 2; otherwise the minus branch when e equals the order-2
     minus-sum exponent of the field; otherwise the plus branch.
     """
+    _check_coprime_to_char(field, z.denominator)
     _, two, o2, _, t = _components(field, z.denominator)
     zt = canonical(t, 1)
     if o2 == 2:

@@ -81,13 +81,17 @@ class RootOfUnity(NamedTuple):
         return render_root(self)
 
 
+#: Builds a root from a pair already reduced, past the generated __new__.
+_new = tuple.__new__
+
+
 def canonical(n: int, j: int) -> RootOfUnity:
     """The reduced exponent class of j/n (the j-th power of the n-th root)."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     j %= n
     g = gcd(j, n)
-    return RootOfUnity(n // g, j // g)
+    return _new(RootOfUnity, (n // g, j // g))
 
 
 #: The identity element (exponent class 0/1).
@@ -144,18 +148,24 @@ def parse_root(text: str) -> RootOfUnity:
 # Formal integer linear combinations of roots of unity
 # ---------------------------------------------------------------------------
 
-_ZETA2 = RootOfUnity(2, 1)
-
 
 def _sign_rep(z: RootOfUnity) -> tuple[RootOfUnity, int]:
     """Canonical representative of {z, -z} and the sign relating z to it.
 
     -z equals z times the order-2 root, so each such pair is normalized to
     its lexicographically smaller member (by (order, exponent)); the returned
-    sign is +1 if z itself is the representative, else -1.
+    sign is +1 if z itself is the representative, else -1.  For z = j/n, -z
+    is (2j + n)/(2n) for odd n, so z is the smaller; (j + n/2)/2 over n/2 for
+    n = 2 mod 4, the smaller; and (j + n/2)/n for 4 | n, the smaller when
+    j > n/2.  Each is already reduced.
     """
-    partner = multiply(z, _ZETA2)
-    return (z, 1) if z <= partner else (partner, -1)
+    n, j = z
+    if n % 2:
+        return z, 1
+    h = n // 2
+    if h % 2:
+        return _new(RootOfUnity, (h, (j + h) // 2 % h)), -1
+    return (z, 1) if j < h else (_new(RootOfUnity, (n, j - h)), -1)
 
 
 class RootSum:
@@ -219,7 +229,7 @@ class RootSum:
 
     def mul_root(self, z: RootOfUnity) -> "RootSum":
         """The sum multiplied by a single root of unity (distributes)."""
-        return RootSum.from_terms([(c, multiply(r, z)) for c, r in self.terms()])
+        return RootSum.from_terms([(c, multiply(r, z)) for r, c in self._terms.items()])
 
     def map_exponent(self, m: int) -> "RootSum":
         """Apply the exponent map z -> z^m to every term.
@@ -227,12 +237,12 @@ class RootSum:
         This realizes the automorphism sending each root of unity to its m-th
         power (e.g. Frobenius for m = q); it is additive on formal sums.
         """
-        return RootSum.from_terms([(c, power(r, m)) for c, r in self.terms()])
+        return RootSum.from_terms([(c, power(r, m)) for r, c in self._terms.items()])
 
     def lcm_order(self) -> int:
         """The lcm of the primitive orders appearing in the sum (1 if zero)."""
         n = 1
-        for _, r in self.terms():
+        for r in self._terms:
             n = n // gcd(n, r.denominator) * r.denominator
         return n
 

@@ -271,6 +271,16 @@ def test_analyze_realizes_values_above_the_oracle_gate_without_checking(
     assert results["generator"]["square_value"] == [20, 0]
 
 
+@pytest.mark.parametrize("n, degree", [(2**127 - 1, 1), (2**127 + 1, 2)])
+def test_analyze_answers_degrees_one_and_two_above_the_factorize_bound(runner, n, degree):
+    # n divides q - 1 or q + 1 for q = 2^127, so the degree needs no factoring
+    # of n; the Q order 99999999999999999999 below still has to factor.
+    results = invoke_json(runner, ["analyze", "--field", "q:2^127", "--n", str(n)])["results"]
+    assert (results["degree"], results["in_field"]) == (degree, degree == 1)
+    assert results["order_of_zeta"] == (1 if degree == 1 else n)
+    assert results["n_F"] == n // results["order_of_zeta"]
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -3,13 +3,15 @@ matrix, replayed in-process through ``cli.main`` and compared byte for byte
 with ``cli_golden.json``.
 
 The matrix covers ``analyze``, ``moduli``, ``classify`` and ``verify`` over
-the rationals, small prime fields, fields of large degree and fields whose
-``q^2 - 1`` needs Brent rho, characteristic 2 with its Artin-Schreier
-generator realized (``q:2``) and symbolic only (``q:2^11``, whose ``q^2``
-exceeds the oracle's field bound), plus one command for each of exit codes 2,
-3 and 4.  A refactor that must not change the CLI's output keeps this test
-passing unedited.  When the output changes on purpose, regenerate the file
-with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review its diff.
+the rationals, small prime fields, fields of large degree, large prime fields
+(``q:1000003``, ``q:2516209727``, ``q:4294967291``; none needs Brent rho),
+characteristic 2 with its Artin-Schreier generator realized (``q:2``) and
+symbolic only (``q:2^11``, whose ``q^2`` exceeds the oracle's field bound),
+plus commands that exit 2 and 3, and exit code 4 from ``verify`` over
+``q:1000003`` and ``q:2516209727``, which exceed CYCLOKIT_MAX_Q.  A refactor
+that must not change the CLI's output keeps this test passing unedited.  When
+the output changes on purpose, regenerate the file with
+``PYTHONPATH=src python tests/test_cli_golden.py`` and review its diff.
 """
 
 import contextlib

@@ -11,6 +11,7 @@ import pytest
 
 from cyclokit import (
     MAX_FIELD_BITS,
+    FieldProfile,
     PreconditionError,
     ResidueClass,
     Sign,
@@ -81,6 +82,40 @@ def test_roots_of_unity_frozen_values():
     F1024 = finite_field(2, 10)
     assert F1024.roots_of_unity == 1023
     assert F1024.quadratic_extensions == ((1048575, 1024),)
+
+
+class _CountingInt(int):
+    """An int that counts how often it is raised to a power."""
+
+    powers = 0
+
+    def __pow__(self, exponent):
+        _CountingInt.powers += 1
+        return int(self) ** exponent
+
+
+def test_profile_sizes_are_computed_once_and_kept():
+    _CountingInt.powers = 0
+    field = FieldProfile(_CountingInt(3), 4)
+    first = (field.q, field.roots_of_unity, field.quadratic_extensions)
+    for _ in range(3):
+        again = (field.q, field.roots_of_unity, field.quadratic_extensions)
+        assert all(a is b for a, b in zip(again, first))
+    assert first == (81, 80, ((6560, 81),))
+    assert _CountingInt.powers == 1  # p^k, once for all three sizes
+    with pytest.raises(ValueError, match="no finite size"):
+        Q.q
+
+
+@pytest.mark.parametrize("name", ["p", "k", "q", "roots_of_unity", "quadratic_extensions",
+                                  "is_rational", "other"])
+def test_profiles_cannot_be_assigned_to(name):
+    field = finite_field(5, 2)
+    assert field.q == 25  # the kept sizes too
+    with pytest.raises(AttributeError):
+        setattr(field, name, 7)
+    assert (field, field.q, field.roots_of_unity) == ((5, 2), 25, 24)
+    assert field.quadratic_extensions == ((624, 25),)
 
 
 def test_quadratic_extensions_hold_each_extensions_automorphism():

@@ -4,6 +4,7 @@ equality, the maximal prime-class partition, and the square-class /
 Artin-Schreier embeddings.
 """
 
+import sys
 from math import gcd
 
 import pytest
@@ -31,10 +32,12 @@ from cyclokit import (
     g2,
     g2_membership,
     g2_star,
+    is_prime,
     is_quadratic,
     kappa_class,
     m2_membership,
     m2p,
+    min_poly,
     multiply,
     nu,
     order_of_zeta,
@@ -533,3 +536,31 @@ def test_inseparable_orbit_collapses_on_perfect_fields():
     for a in elems:
         for b in elems:
             assert inseparable_orbit_related(E, a, b)
+
+
+def test_queries_over_f271_prove_no_prime_inside_eps(monkeypatch):
+    # One lib-sweep field query and every order query over F_271.  Only the
+    # public entry of nu proves each queried prime; no is_prime call comes
+    # from eps, whether through g2's pfree_quotient, has_property_C2 or ell.
+    from cyclokit import field_profile, galois_image, numtheory
+    field = finite_field(271)
+    callers = []
+
+    def counted(n):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return is_prime(n)
+
+    for module in (numtheory, field_profile):
+        monkeypatch.setattr(module, "is_prime", counted)
+    full_moduli(field), s_max(field), g2(field)
+    primes = (2, 3, 5, 17)  # the primes of 271^2 - 1 = 2^5 * 3^3 * 5 * 17
+    for p in primes:
+        nu(field, p)
+    for n in (d for d in range(1, 271**2) if (271**2 - 1) % d == 0 and is_quadratic(field, d)):
+        min_poly(field, n), kappa_class(field, canonical(n, 1)), galois_image(field, n)
+        s_n(field, n), field_equal(field, n, 271**2 - 1), radical_generator(field, n)
+    assert callers == ["_check_prime_for"] * len(primes)
+    with pytest.raises(ValueError, match="p must be prime"):
+        ell(field, 4)
+    with pytest.raises(ValueError, match="p must be prime"):
+        nu(rational(), 4)

@@ -204,6 +204,15 @@ def test_eps_frozen_values():
     assert eps(7, 2) == 0
 
 
+def test_eps_takes_any_base_from_two_without_testing_primality():
+    # The caller proves p prime where it matters; eps needs p >= 2 to stop.
+    assert eps(48, 4) == 2
+    assert eps(1000, 10) == 3
+    for n, p in ((0, 2), (-4, 2), (5, 1), (5, 0), (5, -3)):
+        with pytest.raises(ValueError, match="eps needs n >= 1 and p >= 2"):
+            eps(n, p)
+
+
 def test_pfree_quotient_frozen_values():
     assert pfree_quotient(24, 2) == 3
     assert pfree_quotient(16, 2) == 1

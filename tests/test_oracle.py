@@ -416,6 +416,19 @@ def _verify_product_count(field_spec):
     return int(proc.stderr.split()[-1])
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (5, 1), (13, 1), (3, 2), (2, 3), (2, 4), (7, 2)])
+def test_brute_order_matches_a_literal_power_scan(p, k):
+    # The least t with zeta_n^t fixed by the literal q-th power map, found
+    # by stepping through the powers, for every n dividing q^2 - 1.
+    E2, q = build_field(p, 2 * k), p**k
+    for n in divisors(q * q - 1):
+        zeta = find_root_of_unity(E2, n)
+        w, t = zeta, 1
+        while w**q != w:
+            w, t = w * zeta, t + 1
+        assert brute_order(p, k, n) == t, n
+
+
 def test_verify_multiplication_count_stays_bounded():
     """A deterministic cost guard: the packed products made by one
     `verify --field q:3^5` (3,405, building the field included).  An order

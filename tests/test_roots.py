@@ -18,6 +18,7 @@ from cyclokit import (
     InternalProduct,
     Mu,
     PrimSet,
+    RootOfUnity,
     RootSum,
     Union,
     as_fraction,
@@ -33,7 +34,7 @@ from cyclokit import (
     primitive_order,
     render_root,
 )
-from cyclokit.roots import enumerate as enumerate_subset
+from cyclokit.roots import _sign_rep, enumerate as enumerate_subset
 
 from conftest import parts_product
 
@@ -299,3 +300,47 @@ def test_package_all_resolves_without_shadowing_enumerate():
     exec("from cyclokit import *", namespace)
     assert "enumerate" not in namespace
     assert enumerate_subset(Mu(2)) == [identity, canonical(2, 1)]
+
+
+# ---------------------------------------------------------------------------
+# sign representatives in closed form
+# ---------------------------------------------------------------------------
+
+
+def _group_law_sign_rep(z):
+    """{z, -z} normalized by the group law: -z is z times the order-2 root,
+    and the smaller of the two is the representative."""
+    partner = multiply(z, canonical(2, 1))
+    return (z, 1) if z <= partner else (partner, -1)
+
+
+def test_sign_representative_matches_the_group_law_for_orders_to_600():
+    for n in range(1, 601):
+        for j in range(n):
+            if gcd(j, n) != 1:
+                continue
+            z = canonical(n, j)
+            assert type(z) is RootOfUnity and z == RootOfUnity(n, j % n)
+            rep, sign = _sign_rep(z)
+            assert (rep, sign) == _group_law_sign_rep(z), z
+            # built directly, yet reduced and of the root type
+            assert type(rep) is RootOfUnity and rep == canonical(*rep)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 48), st.integers(-47, 47)),
+                max_size=6))
+def test_root_sums_normalize_compare_and_hash_as_by_the_group_law(raw):
+    terms = [(c, canonical(n, j)) for c, n, j in raw]
+    reference: dict = {}
+    for coeff, root in terms:
+        rep, sign = _group_law_sign_rep(root)
+        reference[rep] = reference.get(rep, 0) + sign * coeff
+    reference = {r: c for r, c in reference.items() if c}
+    s = RootSum.from_terms(terms)
+    assert s == RootSum(reference)
+    assert hash(s) == hash(frozenset(reference.items()))
+    assert s.terms() == [(c, r) for r, c in sorted(reference.items())]
+    assert s.map_exponent(5) == RootSum.from_terms([(c, power(r, 5)) for c, r in s.terms()])
+    assert s.mul_root(canonical(6, 1)) == RootSum.from_terms(
+        [(c, multiply(r, canonical(6, 1))) for c, r in s.terms()])
+    assert s.lcm_order() == lcm(1, *(r.denominator for r in reference))

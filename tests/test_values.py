@@ -7,9 +7,11 @@ checked separately, and every annotation in the package must resolve.
 """
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +200,20 @@ def test_every_annotation_in_the_package_resolves():
         except NameError as exc:
             unresolved.append(f"{fn.__module__}.{fn.__qualname__}: {exc}")
     assert unresolved == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_still_defined():
+    # bench/tracer.py wraps these by name; a renamed one would drop out of
+    # the per-layer figures without an error.
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, functions in tracer.TRACED.items():
+        module = importlib.import_module(f"cyclokit.{module_name}")
+        for name in functions:
+            fn = inspect.unwrap(getattr(module, name))
+            assert inspect.isfunction(fn) and fn.__name__ == name, f"{module_name}.{name}"
+    from cyclokit.oracle import FFElement
+    assert "__init__" in vars(RootSum)
+    assert {"__mul__", "__rmul__"} <= set(vars(FFElement))
