@@ -25,7 +25,7 @@ trivial and silent reduction would mask caller bugs.
 from __future__ import annotations
 
 import enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -106,12 +106,32 @@ class FieldProfile(_Profile):
 
     For the rationals, ``p == k == 0``; for finite fields, ``p`` is the
     (prime) characteristic and ``k >= 1`` the degree over the prime field.
-    The sizes ``q``, ``roots_of_unity`` and ``quadratic_extensions`` are
-    computed on first read and kept; no attribute can be set.
+    The sizes are fixed when the profile is made, from one p^k: ``q`` = p^k
+    (finite fields only), ``roots_of_unity`` = |mu(F)| (q - 1, or 2 for Q)
+    and ``quadratic_extensions``, (|mu(K)|, c) per quadratic cyclotomic
+    extension K with z -> z^c K's conjugation: (q^2 - 1, q) for F_(q^2), by
+    Frobenius, or (4, 3) and (6, 5) for Q(zeta_4) and Q(zeta_3), by
+    inversion.  No attribute can be set.
     """
+
+    def __new__(cls, p: int = 0, k: int = 0) -> "FieldProfile":
+        self = tuple.__new__(cls, (p, k))
+        if p:
+            q = p**k
+            vars(self).update(q=q, roots_of_unity=q - 1, quadratic_extensions=((q * q - 1, q),))
+        else:
+            vars(self).update(roots_of_unity=2, quadratic_extensions=((4, 3), (6, 5)))
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it too
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FieldProfile is immutable: cannot set {name!r}")
+
+    def __getattr__(self, name: str) -> object:  # only the rational field lacks q
+        if name == "q":
+            raise ValueError("the rational field has no finite size q")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def is_rational(self) -> bool:
@@ -120,27 +140,6 @@ class FieldProfile(_Profile):
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @cached_property
-    def q(self) -> int:
-        """The field size p^k (finite fields only)."""
-        if self.is_rational:
-            raise ValueError("the rational field has no finite size q")
-        return self.p**self.k
-
-    @cached_property
-    def roots_of_unity(self) -> int:
-        """|mu(F)|, the number of roots of unity in F: q - 1, or 2 for Q."""
-        return 2 if self.is_rational else self.q - 1
-
-    @cached_property
-    def quadratic_extensions(self) -> tuple[tuple[int, int], ...]:
-        """(|mu(K)|, c) per quadratic cyclotomic extension K, with z -> z^c
-        K's conjugation: (q^2 - 1, q) for F_(q^2), by Frobenius, or (4, 3)
-        and (6, 5) for Q(zeta_4) and Q(zeta_3), by inversion."""
-        if self.is_rational:
-            return ((4, 3), (6, 5))
-        return ((self.q * self.q - 1, self.q),)
 
 
 @lru_cache(maxsize=256)

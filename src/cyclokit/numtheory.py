@@ -8,15 +8,19 @@ power-sum recurrence.  All functions are pure and operate on plain integers
 (except :func:`waring_power_sum`, which accepts any commutative ring element
 supporting ``+``, ``-``, ``*`` with integers).
 
-:func:`factorize` divides by a table of the primes below 8000, built at
-import by a sieve.  The cofactor left over is prime when it is below the
-square of the largest table prime; otherwise deterministic Miller-Rabin
-decides it, and Brent's rho with batched gcds splits it when composite.  Over
-``F_q`` the moduli layer and the CLI factor ``q - 1`` and ``q + 1`` apart,
-never ``q^2 - 1`` (``field_profile.prime_basis``); results are memoised.
-:func:`factorize` refuses inputs above :data:`MAX_FACTOR_INPUT` and
-:func:`is_prime` inputs at or above psi_12; :func:`eps`, which takes only
-valuations, has no size bound.
+The trial stage of :func:`factorize` walks the primes below 8000 for n below
+2^20; above, gcds with their products, in four blocks, find the table primes
+of n.  The cofactor left over is prime when it is below the square of the
+largest table prime; otherwise :func:`is_prime` decides it, and Brent's rho
+with batched gcds splits it when composite.  Over ``F_q`` the moduli layer and
+the CLI factor ``q - 1`` and ``q + 1`` apart, never ``q^2 - 1``
+(``field_profile.prime_basis``); results are memoised.  :func:`is_prime`
+reads a sieve below 8000 and above runs Miller-Rabin on the first j prime
+bases, for the least j with n below psi_j, the least strong pseudoprime to
+them (OEIS A014233; G. Jaeschke, Math. Comp. 61 (1993) 915-926; Y. Jiang and
+Y. Deng, Math. Comp. 83 (2014) 2915-2924).  :func:`factorize` refuses inputs
+above :data:`MAX_FACTOR_INPUT` and :func:`is_prime` inputs at or above
+psi_12; :func:`eps`, which takes only valuations, has no size bound.
 
 Residues are represented by the immutable :class:`ResidueClass`, which stores
 a value already reduced into ``[0, modulus)``.
@@ -25,7 +29,7 @@ a value already reduced into ``[0, modulus)``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import SizeBoundError
@@ -54,27 +58,38 @@ _FACTORIZE_CACHE_SIZE = 4096
 #: Steps of Brent's rho between two gcds.
 _RHO_BATCH = 128
 
-#: The Miller-Rabin bases of :func:`is_prime`, the 12 primes up to 37; it
-#: trial-divides by them first.
+#: The Miller-Rabin bases of :func:`is_prime`, the 12 primes up to 37.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-#: psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to all
-#: of :data:`_MR_BASES`: :func:`is_prime` is exact below it.
-_PSI_12 = 318665857834031151167461
+#: psi_j for j = 1..12 (OEIS A014233): the least strong pseudoprime to the
+#: first j of :data:`_MR_BASES`, so those j bases decide every n below it.
+#: psi_12 = 399165290221 * 798330580441 bounds :func:`is_prime`.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461)
 
 
-def _primes_below(limit: int) -> tuple[int, ...]:
-    """The primes below ``limit``, by the sieve of Eratosthenes."""
+def _sieve(limit: int) -> bytearray:
+    """Entry n is 1 exactly when n is prime, for n below ``limit``."""
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
     for p in range(2, isqrt(limit - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return tuple(p for p, flag in enumerate(sieve) if flag)
+    return sieve
 
 
+#: Primality flags below 8000, read by :func:`is_prime`.
+_SIEVE = _sieve(8000)
 #: The trial divisors of :func:`factorize`: the 1,007 primes below 8000.
-_SMALL_PRIMES = _primes_below(8000)
+_SMALL_PRIMES = tuple(p for p, flag in enumerate(_SIEVE) if flag)
+
+
+@lru_cache(maxsize=1)
+def _table_blocks() -> tuple[int, ...]:
+    """The products of :data:`_SMALL_PRIMES` in blocks of 256, under 3,400 bits
+    each: half the cost of one product, and built on first use, not at import."""
+    return tuple(prod(_SMALL_PRIMES[i : i + 256]) for i in range(0, len(_SMALL_PRIMES), 256))
 
 
 class _Residue(NamedTuple):
@@ -97,36 +112,36 @@ class ResidueClass(_Residue):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with the 12 prime bases to 37).
-
-    Exact below :data:`_PSI_12`, the least strong pseudoprime to all 12
-    bases; inputs at or above it raise :class:`SizeBoundError`.
+    """Deterministic primality test: the sieve below 8000, above it
+    Miller-Rabin with the first j prime bases up to 37, for the least j with
+    n below psi_j (see the module docstring).  Exact below psi_12, the least
+    strong pseudoprime to all 12 bases; inputs at or above it raise
+    :class:`SizeBoundError`.
     """
     if n < 2:
         return False
-    if n >= _PSI_12:
+    if n < len(_SIEVE):
+        return _SIEVE[n] == 1
+    if n >= _PSI[-1]:
         raise SizeBoundError(
             f"is_prime input out of range: {n.bit_length()} bits,"
-            f" at or above psi_12 = {_PSI_12}"
+            f" at or above psi_12 = {_PSI[-1]}"
         )
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    if gcd(n, 7420738134810) > 1:  # the product of the 12 bases
+        return False
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
+    for a, psi in zip(_MR_BASES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 
@@ -188,7 +203,19 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """The factorization of a validated n, immutable because the memo shares it."""
     factors: dict[int, int] = {}
     rest = n
-    for p in _SMALL_PRIMES:
+    primes: tuple[int, ...] | list[int] = _SMALL_PRIMES
+    if n >= 1 << 20:  # below, walking the table is cheaper than the gcd
+        # g multiplies n's table primes; a walk to sqrt(g) leaves at most one in g.
+        g, primes = prod([gcd(n, b) for b in _table_blocks()]), []
+        for p in _SMALL_PRIMES:
+            if p * p > g:
+                break
+            if g % p == 0:
+                primes.append(p)
+                g //= p
+        if g > 1:
+            primes.append(g)
+    for p in primes:
         if p * p > rest:
             break
         while rest % p == 0:
@@ -261,22 +288,23 @@ def mod_inverse(k: int, j: int) -> ResidueClass:
     return ResidueClass(inv, j)
 
 
-def crt(classes: list[ResidueClass]) -> ResidueClass:
-    """Combine residues with pairwise-coprime moduli into one class.
+def crt(classes: list[tuple[int, int]]) -> ResidueClass:
+    """Combine (value, modulus) pairs, such as :class:`ResidueClass` values,
+    with pairwise-coprime positive moduli into one class.
 
-    Returns the unique class modulo the product of the moduli; the empty
-    list yields the trivial class 0 mod 1.
+    Returns the unique class modulo the product of the moduli; no pairs
+    yield the trivial class 0 mod 1.
     """
     value, modulus = 0, 1
-    for cls in classes:
-        if gcd(modulus, cls.modulus) != 1:
+    for v, m in classes:
+        if m < 1 or gcd(modulus, m) != 1:
             raise ValueError(
-                f"crt moduli must be pairwise coprime; {cls.modulus} clashes with {modulus}"
+                f"crt moduli must be positive and pairwise coprime; {m} clashes with {modulus}"
             )
-        # value + modulus*t == cls.value (mod cls.modulus)
-        t = (cls.value - value) * pow(modulus, -1, cls.modulus) % cls.modulus
+        # value + modulus*t == v (mod m)
+        t = (v - value) * pow(modulus, -1, m) % m
         value += modulus * t
-        modulus *= cls.modulus
+        modulus *= m
     return ResidueClass(value, modulus)
 
 

@@ -111,7 +111,7 @@ def bounded_degree(field: FieldProfile, n: int) -> int:
         return 1
     if field.is_rational:
         return 2 if n in (3, 4, 6) else 3
-    return 2 if (field.q * field.q - 1) % n == 0 else 3
+    return 2 if field.quadratic_extensions[0][0] % n == 0 else 3
 
 
 def _components(field: FieldProfile, n: int) -> tuple[int, int, int, int, int]:
@@ -257,12 +257,13 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     # Odd components are either inside F (fixed) or fully outside (inverted):
     # an odd prime cannot divide both q-1 and q+1.
     o, two, o2, outside, _ = _components(field, n)
-    k = crt([ResidueClass(1, n // two // outside), ResidueClass(-1, outside),
-             ResidueClass(_two_part_exponent(field, two, o2), two)])
+    k = crt([(1, n // two // outside), (-1, outside),
+             (_two_part_exponent(field, two, o2), two)])
     if gcd(k.value, n) != 1:  # pragma: no cover - sanity
         raise ArithmeticError("conjugation exponent not a unit")
     z = canonical(n, 1)
-    if field.roots_of_unity % power(z, k.value + 1).denominator:
+    norm = power(z, k.value + 1)
+    if field.roots_of_unity % norm.denominator:
         raise ArithmeticError("norm of the conjugate pair escaped the base field")
     if o == 2:
         tag = CASE_RADICAL
@@ -279,7 +280,7 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
         unit_mult, cos_mult, sign, norm_sign = _SHAPES[tag]
         shape = TraceShape(unit_mult * (n // o), cos_mult * o, sign, norm_sign)
     trace = RootSum.of(z, power(z, k.value))
-    return QuadMinPoly(n, tag, k, trace, RootSum.of(power(z, k.value + 1)), shape)
+    return QuadMinPoly(n, tag, k, trace, RootSum.of(norm), shape)
 
 
 class RadicalGenerator(NamedTuple):
@@ -353,7 +354,7 @@ def nu(field: FieldProfile, p: int) -> ExtendedNat:
     valuations are taken, so it answers for every prime that
     ``numtheory.is_prime`` decides, at any size of q."""
     _check_prime_for(field, p)
-    return ExtendedNat.finite(max(eps(big, p) for big, _ in field.quadratic_extensions))
+    return ExtendedNat((0, max([eps(big, p) for big, _ in field.quadratic_extensions])))
 
 
 def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:

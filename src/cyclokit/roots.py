@@ -180,8 +180,8 @@ class RootSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[RootOfUnity, int] | None = None):
-        # Accepts an already-normalized dict; use from_terms for raw input.
-        self._terms: dict[RootOfUnity, int] = dict(terms or {})
+        # Owns the already-normalized dict it is given; from_terms takes raw input.
+        self._terms: dict[RootOfUnity, int] = {} if terms is None else terms
 
     @classmethod
     def from_terms(cls, terms: list[tuple[int, RootOfUnity]]) -> "RootSum":
@@ -190,7 +190,9 @@ class RootSum:
         for coeff, root in terms:
             rep, sign = _sign_rep(root)
             acc[rep] = acc.get(rep, 0) + sign * coeff
-        return cls({r: c for r, c in acc.items() if c != 0})
+        if 0 in acc.values():
+            acc = {r: c for r, c in acc.items() if c != 0}
+        return cls(acc)
 
     @classmethod
     def zero(cls) -> "RootSum":
@@ -258,7 +260,7 @@ class RootSum:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for coeff, root in self.terms():
+        for root, coeff in sorted(self._terms.items()):
             mag = abs(coeff)
             body = render_root(root) if mag == 1 else f"{mag}*{render_root(root)}"
             if not parts:

@@ -5,6 +5,8 @@ Every decision procedure here is cross-checked against the brute-force
 oracle on explicit F_{q^2} towers for all prime powers q <= 49.
 """
 
+import copy
+import pickle
 from math import gcd
 
 import pytest
@@ -105,6 +107,20 @@ def test_profile_sizes_are_computed_once_and_kept():
     assert _CountingInt.powers == 1  # p^k, once for all three sizes
     with pytest.raises(ValueError, match="no finite size"):
         Q.q
+
+
+def test_profiles_rebuilt_by_the_tuple_protocols_keep_their_sizes():
+    field = finite_field(5, 2)
+    rebuilt = [FieldProfile._make((5, 2)), finite_field(5, 1)._replace(k=2),
+               copy.copy(field), copy.deepcopy(field), pickle.loads(pickle.dumps(field))]
+    for profile in rebuilt:
+        assert type(profile) is FieldProfile and profile == field
+        assert (profile.q, profile.roots_of_unity, profile.quadratic_extensions) == (
+            25, 24, ((624, 25),))
+    rational = Q._replace()
+    assert (rational.roots_of_unity, rational.quadratic_extensions) == (2, ((4, 3), (6, 5)))
+    with pytest.raises(ValueError, match="no finite size"):
+        rational.q
 
 
 @pytest.mark.parametrize("name", ["p", "k", "q", "roots_of_unity", "quadratic_extensions",

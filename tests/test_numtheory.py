@@ -6,8 +6,10 @@ two-term power-sum recurrence against an explicit quadratic extension)
 are exercised as properties.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,6 +315,19 @@ def test_crt_solution_reduces_to_inputs(pairs):
         assert sol.value % c.modulus == c.value
 
 
+def test_crt_takes_plain_pairs_and_residue_classes_alike():
+    want = ResidueClass(5, 12)
+    assert crt([(1, 4), (2, 3)]) == want
+    assert crt([ResidueClass(1, 4), (2, 3)]) == want
+    assert crt([ResidueClass(1, 4), ResidueClass(2, 3)]) == want
+    # Plain values need not be reduced; a modulus of 1 adds nothing.
+    assert crt([(-3, 4), (5, 3), (7, 1)]) == want
+    assert crt(iter([(1, 4), (2, 3)])) == want
+    for bad in ([(1, 4), (1, 6)], [(1, 0)], [(1, -5)]):
+        with pytest.raises(ValueError, match="crt moduli"):
+            crt(bad)
+
+
 # ---------------------------------------------------------------------------
 # squarefree_kernel
 # ---------------------------------------------------------------------------
@@ -406,3 +421,138 @@ def test_waring_power_sum_matches_frobenius_pair_in_explicit_fields():
                 want = waring_power_sum(a, b, t) % p
                 assert acc0 + acc1 == E.from_int_mod(want)
                 acc0, acc1 = acc0 * roots[0], acc1 * roots[1]
+
+
+# ---------------------------------------------------------------------------
+# the trial stage and the primality bases, against references
+# ---------------------------------------------------------------------------
+
+
+def _trial_division(n):
+    """The factorization of n by dividing by 2, 3, 4, ... in turn, while the
+    divisor's square is at most what is left: exact, and fast while the
+    second largest prime of n and the square root of the largest are small."""
+    factors, d = Counter(), 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] += 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] += 1
+    return sorted(factors.items())
+
+
+def _primes_by_trial_division(low, high):
+    return [n for n in range(low, high) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+#: Primes above the table (the primes below 8000), certified by trial division.
+_ROUGH = [p for low in (8000, 1 << 16, 1 << 22) for p in _primes_by_trial_division(low, low + 300)]
+
+#: The least primes above 7919^2, the square of the largest table prime, where
+#: a cofactor stops being prime by size alone.
+_JUST_ABOVE_TABLE_SQUARE = _primes_by_trial_division(7919**2, 7919**2 + 200)
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 7919, 2**62, 3**39, 7919**4, 7907**2 * 7919**2, 2**20 - 1, 2**20, 2**20 + 1,
+    7907 * 7919, 2 * 7907 * 7919, 2**30 * 7907 * 7919, 3 * 5 * 7 * 7907 * 7919 * 7901,
+    8009 * 8011, 7927 * 7933, 2 * 7927 * 7933, 7919 * 7927, 2**63 - 1,
+    *_JUST_ABOVE_TABLE_SQUARE, *(2 * 3 * p for p in _JUST_ABOVE_TABLE_SQUARE),
+    *(7919 * p for p in _JUST_ABOVE_TABLE_SQUARE),
+])
+def test_factorize_agrees_with_trial_division_at_the_edges_of_the_table(n):
+    # Products of two table primes near 8000 make the longest walk after the
+    # gcd; prime powers of table primes leave nothing to the cofactor; 2^20
+    # is where the walk gives way to the gcd.
+    assert factorize(n) == _trial_division(n)
+
+
+def test_factorize_agrees_with_trial_division_on_seeded_inputs():
+    rng = random.Random(23)
+    small = _primes_by_trial_division(2, 8000)
+    for bits in range(10, 63):
+        # Plain integers, while trial division stays fast ...
+        if bits <= 30:
+            for _ in range(3):
+                n = rng.randrange(1 << (bits - 1), 1 << bits)
+                assert factorize(n) == _trial_division(n), n
+        # ... and up to 2^62 products of table primes and primes past the
+        # table, whose factorization is known by construction.
+        for _ in range(3):
+            factors, n = Counter(), 1
+            for _ in range(30):
+                p = rng.choice(small if rng.random() < 0.6 else _ROUGH)
+                if (n * p).bit_length() <= bits:
+                    factors[p] += 1
+                    n *= p
+            assert factorize(n) == sorted(factors.items()), n
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+_TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _twelve_base_reference(n):
+    """Miller-Rabin with all 12 prime bases up to 37, exact below psi_12."""
+    if n < 2:
+        return False
+    for p in _TWELVE_BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in _TWELVE_BASES)
+
+
+#: psi_1 ... psi_11 (OEIS A014233) with their factors; psi_j is a strong
+#: pseudoprime to the first j prime bases.
+_PSI_FACTORS = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+]
+
+
+@pytest.mark.parametrize("j, psi, factors",
+                         [(j, psi, f) for j, (psi, f) in enumerate(_PSI_FACTORS, 1)])
+def test_is_prime_is_exact_at_each_base_threshold(j, psi, factors):
+    assert prod(factors) == psi
+    # The first j bases all pass psi_j, so fewer bases would call it prime.
+    assert all(_strong_probable_prime(psi, a) for a in _TWELVE_BASES[:j])
+    assert not is_prime(psi)
+    for n in (psi - 2, psi - 1, psi + 1, psi + 2):
+        assert is_prime(n) == _twelve_base_reference(n), n
+
+
+def test_is_prime_agrees_with_twelve_bases_on_seeded_64_bit_inputs():
+    rng = random.Random(64)
+    inputs = [rng.getrandbits(64) | 1 for _ in range(1500)]
+    inputs += [rng.randrange(8000, 1 << 20) for _ in range(200)]
+    for start in [rng.getrandbits(bits) for bits in range(14, 65, 2)]:
+        n = start | 1
+        while not _twelve_base_reference(n):
+            n += 2
+        inputs += [n, n + 2, n * n if n * n < 1 << 64 else n - 2]
+    for n in inputs:
+        assert is_prime(n) == _twelve_base_reference(n), n

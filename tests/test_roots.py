@@ -344,3 +344,43 @@ def test_root_sums_normalize_compare_and_hash_as_by_the_group_law(raw):
     assert s.mul_root(canonical(6, 1)) == RootSum.from_terms(
         [(c, multiply(r, canonical(6, 1))) for c, r in s.terms()])
     assert s.lcm_order() == lcm(1, *(r.denominator for r in reference))
+
+
+def _reference_render(reference):
+    """A sum's text from its sorted (root, coefficient) pairs: the first term
+    signed only when negative, each later one joined by '+' or '-', and a
+    magnitude above 1 written as a factor."""
+    parts = []
+    for root, coeff in sorted(reference.items()):
+        body = render_root(root) if abs(coeff) == 1 else f"{abs(coeff)}*{render_root(root)}"
+        sign = ("" if coeff > 0 else "-") if not parts else ("+ " if coeff > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 48), st.integers(-47, 47)),
+                max_size=6))
+def test_root_sums_render_their_sorted_terms(raw):
+    terms = [(c, canonical(n, j)) for c, n, j in raw]
+    reference: dict = {}
+    for coeff, root in terms:
+        rep, sign = _group_law_sign_rep(root)
+        reference[rep] = reference.get(rep, 0) + sign * coeff
+    reference = {r: c for r, c in reference.items() if c}
+    s = RootSum.from_terms(terms)
+    assert str(s) == _reference_render(reference)
+    assert repr(s) == f"RootSum({_reference_render(reference)})"
+    # A sum built from its own normalized terms is the same sum.
+    again = RootSum(dict(reference))
+    assert (again, hash(again), str(again)) == (s, hash(s), str(s))
+
+
+def test_root_sum_frozen_renderings():
+    z16 = canonical(16, 1)
+    assert str(RootSum.of(z16, power(z16, 7))) == "z(16,1) + z(16,7)"
+    assert str(RootSum.of(power(z16, 8))) == "-z(1,0)"
+    assert str(RootSum.from_terms([(2, canonical(4, 1)), (-3, canonical(12, 1))])) == (
+        "2*z(4,1) - 3*z(12,1)")
+    assert str(RootSum.from_terms([(-1, canonical(3, 1)), (1, canonical(6, 1))])) == (
+        "-z(3,1) - z(3,2)")
+    assert str(RootSum.from_terms([(1, canonical(5, 2)), (-1, canonical(5, 2))])) == "0"
