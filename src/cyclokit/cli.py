@@ -19,8 +19,13 @@ imports the brute-force oracle, and only ``analyze`` and ``verify`` import
 it, when they run: ``classify`` and ``moduli`` never load it.
 :func:`_realizer` picks once per field how a formal sum becomes a value (an
 exact integer over the rationals, an element of the oracle's F_(q^2) within
-its field bound, nothing above it), and :func:`_compare_min_poly` checks the
-realized minimal polynomial against the oracle's own.
+its field bound, nothing above it).  Each cross-check is a row (check,
+formula side, oracle side): ``verify`` runs ``order``, ``quadratic`` and
+``order_two`` for every n, then for quadratic n the min-poly rows of
+:func:`_compare_min_poly` (``yogh_frobenius`` over F_q, ``min_poly_concrete``),
+which are all that ``analyze`` runs for its n.  :func:`_mismatches` builds the
+record of every row whose two sides differ; the one other record,
+``equaliser``, carries the message of ``m2_membership``'s disagreeing routes.
 
 Each command returns a :class:`Report`; :func:`main` prints it and holds the
 one mapping from failures to exit codes: 0 success, 1 verification
@@ -157,34 +162,32 @@ def _value_json(value):
     return str(value) if isinstance(value, int) else value.value_repr()
 
 
-def _compare_min_poly(
-    field: FieldProfile, poly: quadcyclo.QuadMinPoly, values: tuple
-) -> tuple[tuple, list[dict]]:
+def _mismatches(n: int, rows) -> list[dict]:
+    """The mismatch record of each cross-check row of n whose two sides
+    differ.  A row is ``(check, formula side, oracle side)``, optionally
+    followed by a dict of further keys for its record."""
+    return [{"n": n, "check": check, "formula": formula, "oracle": oracle, **dict(*extra)}
+            for check, formula, oracle, *extra in rows if formula != oracle]
+
+
+def _compare_min_poly(field: FieldProfile, poly: quadcyclo.QuadMinPoly,
+                      values: tuple) -> tuple[tuple, list[tuple]]:
     """The oracle's own (trace, norm) of the n-th root (from the cyclotomic
     ring over the rationals, by the q-power map over a finite field), and the
-    mismatch records of the formula's realized coefficients ``values`` and
-    conjugation exponent against it."""
+    min-poly rows: over a finite field the conjugation exponent against the
+    q-power map, then the formula's realized coefficients ``values`` against
+    the oracle's."""
     from . import oracle
-    n = poly.n
-    mismatches = []
+    n, rows = poly.n, []
     if field.is_rational:
         c0, c1, _ = oracle.rational_min_poly(n)
         truth = (-c1, c0)
     else:
-        frobenius = field.q % n
-        if poly.yogh.value != frobenius:
-            mismatches.append(
-                {"n": n, "check": "yogh_frobenius", "formula": poly.yogh.value,
-                 "oracle": frobenius}
-            )
+        rows.append(("yogh_frobenius", poly.yogh.value, field.q % n))
         truth = oracle.brute_min_poly(field.p, field.k, n)
-    if values != truth:
-        mismatches.append(
-            {"n": n, "check": "min_poly_concrete",
-             "formula": [_value_json(v) for v in values],
-             "oracle": [_value_json(v) for v in truth]}
-        )
-    return truth, mismatches
+    rows.append(("min_poly_concrete", [*map(_value_json, values)],
+                 [*map(_value_json, truth)]))
+    return truth, rows
 
 
 def _generator_json(
@@ -244,7 +247,8 @@ def analyze(field_spec: str, n: int) -> Report:
             values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
             report.oracle_checked = refusal is None
             if report.oracle_checked:
-                truth, report.mismatches = _compare_min_poly(field, poly, values)
+                truth, rows = _compare_min_poly(field, poly, values)
+                report.mismatches = _mismatches(n, rows)
             if not field.is_rational:
                 doc["trace_concrete"], doc["norm_concrete"] = map(_value_json, values)
         results["min_poly_rendered"] = poly.render()
@@ -294,41 +298,27 @@ def verify(field_spec: str, max_n: int | None) -> Report:
         raise SizeBoundError(
             f"quadratic extension size {field.q}^2 exceeds {oracle.MAX_FIELD_SIZE}")
     bound = field.q**2 - 1 if max_n is None else max_n
+    divisors = [n for n in _divisors(field) if n <= bound]
     mismatches: list[dict] = []
-    checked = 0
-    for n in _divisors(field):
-        if n > bound:
-            break
-        checked += 1
-        order_formula = order_of_zeta(field, n)
-        order_brute = oracle.brute_order(field.p, field.k, n)
-        if order_formula != order_brute:
-            mismatches.append(
-                {"n": n, "check": "order", "formula": order_formula,
-                 "oracle": order_brute}
-            )
-        quadratic_formula = quadcyclo.is_quadratic(field, n)
-        # n divides q^2 - 1, so zeta_n lies in F_(q^2): degree 2 iff not in F_q.
-        quadratic_brute = order_brute != 1
+    for n in divisors:
+        z = canonical(n, 1)
+        order = oracle.brute_order(field.p, field.k, n)
+        mismatches += _mismatches(n, [("order", order_of_zeta(field, n), order)])
+        quadratic = quadcyclo.is_quadratic(field, n)
         try:
-            membership = moduli_mod.m2_membership(field, canonical(n, 1))
+            membership = moduli_mod.m2_membership(field, z)
         except RuntimeError as exc:
             mismatches.append({"n": n, "check": "equaliser", "detail": str(exc)})
-            membership = quadratic_formula
-        if not (quadratic_formula == quadratic_brute == membership):
-            mismatches.append(
-                {"n": n, "check": "quadratic", "formula": quadratic_formula,
-                 "oracle": quadratic_brute, "equaliser": membership}
-            )
-        order_two = moduli_mod.g2_membership(field, canonical(n, 1))
-        if order_two != (order_brute == 2):
-            mismatches.append({"n": n, "check": "order_two", "formula": order_two,
-                               "oracle": order_brute == 2})
-        if quadratic_formula:
+            membership = quadratic
+        # n divides q^2 - 1, so zeta_n lies in F_(q^2): degree 2 iff not in F_q.
+        rows = [("quadratic", quadratic, order != 1, {"equaliser": membership}),
+                ("order_two", moduli_mod.g2_membership(field, z), order == 2)]
+        if quadratic:
             poly = quadcyclo.min_poly(field, n)
             values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
-            mismatches.extend(_compare_min_poly(field, poly, values)[1])
-    results = {"max_n": bound, "orders_checked": checked}
+            rows += _compare_min_poly(field, poly, values)[1]
+        mismatches += _mismatches(n, rows)
+    results = {"max_n": bound, "orders_checked": len(divisors)}
     return Report("verify", render_field(field), results, True, mismatches)
 
 

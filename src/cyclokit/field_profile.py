@@ -221,7 +221,7 @@ def _check_coprime_to_char(field: FieldProfile, n: int) -> None:
 def _check_prime_for(field: FieldProfile, p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not field.is_rational and p == field.p:
+    if p == field.p:
         raise PreconditionError(f"p equals the characteristic {p}")
 
 

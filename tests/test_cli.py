@@ -3,6 +3,7 @@ size-bound environment override for each subcommand.
 """
 
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 
 import cyclokit
 import cyclokit.cli as cli_mod
+import cyclokit.moduli as moduli_mod
 import cyclokit.oracle as oracle_mod
 import cyclokit.quadcyclo as quadcyclo_mod
 from cyclokit.cli import main
@@ -558,6 +560,134 @@ def test_min_poly_mismatch_records(runner, broken_min_poly_16, args):
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
     assert payload["mismatches"] == broken_min_poly_16
+
+
+# Each cross-check row, made to disagree: the module binding the command reads,
+# the function's name there, and how its value at the forced order changes.
+FORCES = {
+    # the formula side of "order"
+    "order": (cli_mod, "order_of_zeta", lambda order: order + 1),
+    # the oracle side of "order", which "quadratic" and "order_two" also read
+    "oracle_order": (oracle_mod, "brute_order", lambda order: 1),
+    # the kappa route of moduli.m2_membership, so that it raises
+    "equaliser": (moduli_mod, "kappa_class",
+                  lambda cls: cls._replace(in_field=not cls.in_field)),
+    "quadratic": (quadcyclo_mod, "is_quadratic", operator.not_),
+    "order_two": (moduli_mod, "g2_membership", operator.not_),
+    "yogh_frobenius": (quadcyclo_mod, "min_poly",
+                       lambda poly: poly._replace(yogh=ResidueClass(1, poly.n))),
+    "min_poly_concrete": (oracle_mod, "brute_min_poly", lambda pair: pair[::-1]),
+    "rational_min_poly": (oracle_mod, "rational_min_poly",
+                          lambda coeffs: (coeffs[0] + 1, *coeffs[1:])),
+}
+
+
+def force_rows(monkeypatch, forced):
+    """Patch each row of ``forced`` (row name -> n) so that its function's
+    value changes at the root order n, read from its last argument (an order
+    or a root)."""
+    for row, n in forced.items():
+        module, name, change = FORCES[row]
+        real = getattr(module, name)
+
+        def patched(*args, real=real, change=change, n=n):
+            value, last = real(*args), args[-1]
+            order = last if isinstance(last, int) else last.denominator
+            return change(value) if order == n else value
+
+        monkeypatch.setattr(module, name, patched)
+
+
+def equaliser_record(n):
+    return {"n": n, "check": "equaliser", "detail": (
+        f"membership routes disagree at z({n},1): equaliser False, degree True")}
+
+
+VERIFY_23 = ["verify", "--field", "q:23"]
+
+
+@pytest.mark.parametrize("args, forced, expected", [
+    pytest.param(VERIFY_23, {"oracle_order": 44, "equaliser": 44,
+                             "yogh_frobenius": 44, "min_poly_concrete": 44}, [
+        {"n": 44, "check": "order", "formula": 2, "oracle": 1},
+        equaliser_record(44),
+        {"n": 44, "check": "quadratic", "formula": True, "oracle": False,
+         "equaliser": True},
+        {"n": 44, "check": "order_two", "formula": True, "oracle": False},
+        {"n": 44, "check": "yogh_frobenius", "formula": 1, "oracle": 23},
+        {"n": 44, "check": "min_poly_concrete", "formula": [[0, 0], [18, 0]],
+         "oracle": [[18, 0], [0, 0]]},
+    ], id="verify-every-row-at-one-n"),
+    pytest.param(VERIFY_23, {"order": 24}, [
+        {"n": 24, "check": "order", "formula": 13, "oracle": 12},
+    ], id="verify-order"),
+    pytest.param(VERIFY_23, {"equaliser": 24}, [equaliser_record(24)],
+                 id="verify-equaliser"),
+    pytest.param(VERIFY_23, {"quadratic": 24}, [
+        {"n": 24, "check": "quadratic", "formula": False, "oracle": True,
+         "equaliser": True},
+    ], id="verify-quadratic"),
+    pytest.param(VERIFY_23, {"order_two": 24}, [
+        {"n": 24, "check": "order_two", "formula": True, "oracle": False},
+    ], id="verify-order_two"),
+    pytest.param(VERIFY_23, {"yogh_frobenius": 24}, [
+        {"n": 24, "check": "yogh_frobenius", "formula": 1, "oracle": 23},
+    ], id="verify-yogh_frobenius"),
+    pytest.param(VERIFY_23, {"min_poly_concrete": 24}, [
+        {"n": 24, "check": "min_poly_concrete", "formula": [[15, 0], [1, 0]],
+         "oracle": [[1, 0], [15, 0]]},
+    ], id="verify-min_poly_concrete"),
+    pytest.param(["verify", "--field", "q:5"], {
+        "order": 3, "equaliser": 6, "order_two": 8, "yogh_frobenius": 12,
+        "quadratic": 24, "min_poly_concrete": 24}, [
+        {"n": 3, "check": "order", "formula": 4, "oracle": 3},
+        equaliser_record(6),
+        {"n": 8, "check": "order_two", "formula": False, "oracle": True},
+        {"n": 12, "check": "yogh_frobenius", "formula": 1, "oracle": 5},
+        # not quadratic by the formula, so its min-poly rows do not run
+        {"n": 24, "check": "quadratic", "formula": False, "oracle": True,
+         "equaliser": True},
+    ], id="verify-rows-across-n"),
+    pytest.param(["analyze", "--field", "q:23", "--n", "12"],
+                 {"yogh_frobenius": 12, "min_poly_concrete": 12}, [
+        {"n": 12, "check": "yogh_frobenius", "formula": 1, "oracle": 11},
+        {"n": 12, "check": "min_poly_concrete", "formula": [[16, 0], [1, 0]],
+         "oracle": [[1, 0], [16, 0]]},
+    ], id="analyze-finite-min-poly-rows"),
+    pytest.param(["analyze", "--field", "q:23", "--n", "24"],
+                 {"min_poly_concrete": 24}, [
+        {"n": 24, "check": "min_poly_concrete", "formula": [[15, 0], [1, 0]],
+         "oracle": [[1, 0], [15, 0]]},
+    ], id="analyze-finite-min_poly_concrete"),
+    pytest.param(["analyze", "--field", "Q", "--n", "6"], {"rational_min_poly": 6}, [
+        {"n": 6, "check": "min_poly_concrete", "formula": ["1", "1"],
+         "oracle": ["1", "2"]},
+    ], id="analyze-rational-min_poly_concrete"),
+])
+def test_every_cross_check_row_reports_its_mismatch(
+    runner, monkeypatch, args, forced, expected
+):
+    # The full ordered list pins each record's keys and values and the
+    # record order: per n, order, equaliser, quadratic, order_two, then the
+    # min-poly rows.
+    force_rows(monkeypatch, forced)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.stderr
+    assert json.loads(result.stdout)["mismatches"] == expected
+
+
+def test_the_oracle_side_of_each_row_is_computed_once_per_n(runner, monkeypatch):
+    orders = count_calls(monkeypatch, oracle_mod, "brute_order")
+    polys = count_calls(monkeypatch, oracle_mod, "brute_min_poly")
+    payload = invoke_json(runner, VERIFY_23)
+    divisors = [n for n in range(1, 529) if 528 % n == 0]
+    assert payload["results"]["orders_checked"] == len(divisors) == 20
+    assert orders == [(23, 1, n) for n in divisors]
+    # zeta_n lies in F_(23^2); it is quadratic iff it is not in F_23
+    assert polys == [(23, 1, n) for n in divisors if 22 % n]
+    polys.clear()
+    invoke_json(runner, ["analyze", "--field", "q:23", "--n", "16"])
+    assert polys == [(23, 1, 16)]
 
 
 def test_verify_rejects_rational_field(runner):
