@@ -24,8 +24,10 @@ formula side, oracle side): ``verify`` runs ``order``, ``quadratic`` and
 ``order_two`` for every n, then for quadratic n the min-poly rows of
 :func:`_compare_min_poly` (``yogh_frobenius`` over F_q, ``min_poly_concrete``),
 which are all that ``analyze`` runs for its n.  :func:`_mismatches` builds the
-record of every row whose two sides differ; the one other record,
-``equaliser``, carries the message of ``m2_membership``'s disagreeing routes.
+record of every row whose two sides differ.  Two other records carry a
+``detail`` message: ``equaliser``, of ``m2_membership``'s disagreeing routes,
+and ``precondition``, in place of n's remaining rows when a formula raises
+:class:`PreconditionError` for a divisor n of q^2 - 1 inside ``verify``.
 
 Each command returns a :class:`Report`; :func:`main` prints it and holds the
 one mapping from failures to exit codes: 0 success, 1 verification
@@ -301,23 +303,28 @@ def verify(field_spec: str, max_n: int | None) -> Report:
     divisors = [n for n in _divisors(field) if n <= bound]
     mismatches: list[dict] = []
     for n in divisors:
-        z = canonical(n, 1)
-        order = oracle.brute_order(field.p, field.k, n)
-        mismatches += _mismatches(n, [("order", order_of_zeta(field, n), order)])
-        quadratic = quadcyclo.is_quadratic(field, n)
+        # n divides q^2 - 1 and is coprime to p, so every precondition holds:
+        # a formula that refuses n disagrees with the oracle.
         try:
-            membership = moduli_mod.m2_membership(field, z)
-        except RuntimeError as exc:
-            mismatches.append({"n": n, "check": "equaliser", "detail": str(exc)})
-            membership = quadratic
-        # n divides q^2 - 1, so zeta_n lies in F_(q^2): degree 2 iff not in F_q.
-        rows = [("quadratic", quadratic, order != 1, {"equaliser": membership}),
-                ("order_two", moduli_mod.g2_membership(field, z), order == 2)]
-        if quadratic:
-            poly = quadcyclo.min_poly(field, n)
-            values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
-            rows += _compare_min_poly(field, poly, values)[1]
-        mismatches += _mismatches(n, rows)
+            z = canonical(n, 1)
+            order = oracle.brute_order(field.p, field.k, n)
+            mismatches += _mismatches(n, [("order", order_of_zeta(field, n), order)])
+            quadratic = quadcyclo.is_quadratic(field, n)
+            try:
+                membership = moduli_mod.m2_membership(field, z)
+            except RuntimeError as exc:
+                mismatches.append({"n": n, "check": "equaliser", "detail": str(exc)})
+                membership = quadratic
+            # zeta_n lies in F_(q^2), so its degree is 2 iff it is not in F_q.
+            mismatches += _mismatches(n, [
+                ("quadratic", quadratic, order != 1, {"equaliser": membership}),
+                ("order_two", moduli_mod.g2_membership(field, z), order == 2)])
+            if quadratic:
+                poly = quadcyclo.min_poly(field, n)
+                values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
+                mismatches += _mismatches(n, _compare_min_poly(field, poly, values)[1])
+        except PreconditionError as exc:
+            mismatches.append({"n": n, "check": "precondition", "detail": str(exc)})
     results = {"max_n": bound, "orders_checked": len(divisors)}
     return Report("verify", render_field(field), results, True, mismatches)
 

@@ -30,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import PreconditionError, SizeBoundError
-from .numtheory import ResidueClass, eps, factorize, is_prime
+from .numtheory import eps, factorize, is_prime
 from .roots import RootOfUnity
 
 __all__ = [
@@ -43,12 +43,10 @@ __all__ = [
     "cos_sum_in_field",
     "ell",
     "finite_field",
-    "frobenius_exponent",
     "n_F",
     "order_of_zeta",
     "parse_field",
     "prime_basis",
-    "rational",
     "render_field",
 ]
 
@@ -167,11 +165,6 @@ RATIONAL = FieldProfile()
 MAX_FIELD_BITS = 1 << 16
 
 
-def rational() -> FieldProfile:
-    """The rational-field profile."""
-    return RATIONAL
-
-
 def finite_field(p: int, k: int = 1) -> FieldProfile:
     """The profile of the finite field with p^k elements."""
     if not is_prime(p):
@@ -268,11 +261,3 @@ def cos_sum_in_field(field: FieldProfile, n: int, sign: Sign) -> bool:
         if big % n == 0 and c % n in (1 % n, swap):
             return True
     return False
-
-
-def frobenius_exponent(field: FieldProfile, n: int) -> ResidueClass:
-    """The exponent by which x -> x^q acts on n-th roots of unity: q mod n."""
-    if field.is_rational:
-        raise PreconditionError("frobenius_exponent requires a finite field")
-    _check_coprime_to_char(field, n)
-    return ResidueClass(field.q % n, n)

@@ -2,11 +2,9 @@
 
 Everything downstream (root-of-unity algebra, field profiles, moduli
 descriptions) reduces to the handful of operations here: factorization,
-p-adic valuations, Euler's totient, multiplicative orders, modular inverses,
-the Chinese remainder theorem, signed squarefree kernels, and the two-term
-power-sum recurrence.  All functions are pure and operate on plain integers
-(except :func:`waring_power_sum`, which accepts any commutative ring element
-supporting ``+``, ``-``, ``*`` with integers).
+primality, p-adic valuations, Euler's totient, multiplicative orders and the
+Chinese remainder theorem.  All functions are pure and operate on plain
+integers.
 
 The trial stage of :func:`factorize` walks the primes below 8000 for n below
 2^20; above, gcds with their products, in four blocks, find the table primes
@@ -42,11 +40,8 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
-    "mod_inverse",
     "mult_order",
     "pfree_quotient",
-    "squarefree_kernel",
-    "waring_power_sum",
 ]
 
 #: Largest integer :func:`factorize` accepts (64-bit signed range).
@@ -277,17 +272,6 @@ def mult_order(a: int, m: int) -> int:
     return t
 
 
-def mod_inverse(k: int, j: int) -> ResidueClass:
-    """The inverse of k modulo j as a ResidueClass (requires gcd(k, j) = 1)."""
-    if j < 1:
-        raise ValueError(f"modulus must be positive, got {j}")
-    try:
-        inv = pow(k, -1, j)
-    except ValueError as exc:
-        raise ValueError(f"mod_inverse requires gcd(k, j) = 1, got k={k}, j={j}") from exc
-    return ResidueClass(inv, j)
-
-
 def crt(classes: list[tuple[int, int]]) -> ResidueClass:
     """Combine (value, modulus) pairs, such as :class:`ResidueClass` values,
     with pairwise-coprime positive moduli into one class.
@@ -306,35 +290,3 @@ def crt(classes: list[tuple[int, int]]) -> ResidueClass:
         value += modulus * t
         modulus *= m
     return ResidueClass(value, modulus)
-
-
-def squarefree_kernel(n: int) -> int:
-    """The signed squarefree part of n: the product of primes with odd exponent.
-
-    The sign of n is preserved, so kernel(-12) == -3 and kernel(-4) == -1.
-    """
-    if n == 0:
-        raise ValueError("squarefree_kernel requires a nonzero integer")
-    sign = -1 if n < 0 else 1
-    kernel = 1
-    for p, e in factorize(abs(n)):
-        if e % 2 == 1:
-            kernel *= p
-    return sign * kernel
-
-
-def waring_power_sum(a, b, t: int):
-    """The power sum x^t + y^t of the roots of z^2 - a*z + b, by recurrence.
-
-    With s_0 = 2 and s_1 = a, the Newton identity s_t = a*s_{t-1} - b*s_{t-2}
-    yields x^t + y^t without computing the roots.  Works for any commutative
-    ring elements a, b that support arithmetic with small integers.
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0:
-        return a - a + 2  # "2" coerced into the ring of a
-    prev, cur = a - a + 2, a  # s_0, s_1
-    for _ in range(t - 1):
-        prev, cur = cur, a * cur - b * prev
-    return cur

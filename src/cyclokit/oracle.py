@@ -12,6 +12,10 @@ and ``RootSum``, which :func:`evaluate_sum` realizes.  No formula module
 imports it, so ``import cyclokit`` does not load it: only the CLI's
 ``analyze`` and ``verify``, which realize concrete values and cross-check
 them, and the test suite do.  Agreement of the two layers is the point.
+It holds what the CLI and the benchmark realize or cross-check, and
+:func:`brute_moduli`, the exhaustive moduli the tests check the moduli
+formulas against; the characteristic-2 orbit search, a reference of the tests
+alone, lives in the test suite.
 
 An element of an explicit field is one packed int, and a product is one
 big-int multiplication and a Barrett reduction (see :class:`ExplicitField`).
@@ -58,7 +62,6 @@ __all__ = [
     "evaluate_sum",
     "evaluate_sum_rational",
     "find_root_of_unity",
-    "inseparable_orbit_related",
     "rational_min_poly",
 ]
 
@@ -439,27 +442,6 @@ def brute_moduli(p: int, k: int) -> set[tuple[int, int]]:
             result.add((big // step, i // step))
         w = mul(w, g)
     return result
-
-
-def inseparable_orbit_related(
-    ext: ExplicitField, a: FFElement, aprime: FFElement
-) -> bool:
-    """The orbit relation for inseparable quadratic classes in char 2:
-    a ~ c^2 a' - b^2 for some nonzero c and some b, by exhaustive search.
-
-    Over the perfect fields supported here this relates every pair (squaring
-    is onto), confirming that the inseparable moduli space is empty.
-    """
-    if ext.p != 2:
-        raise PreconditionError("the orbit relation applies in characteristic 2")
-    elements = list(ext.elements())
-    for c in elements:
-        if c.is_zero:
-            continue
-        for b in elements:
-            if a == c * c * aprime - b * b:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

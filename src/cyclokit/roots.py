@@ -18,8 +18,7 @@ The module also provides:
 * Finite set expressions over roots of unity (:data:`MuSubset`): full groups
   ``Mu(n)``, primitive layers ``PrimSet(n)``, internal (pointwise) products,
   differences, and unions, each with a membership test and an enumerator.
-* The textual form ``z(n,j)``, in which the CLI prints roots, and
-  ``parse_root``, its inverse for library callers (the CLI reads no roots).
+* The textual form ``z(n,j)``, in which the CLI prints roots.
 
 Values here and in the other formula modules are :class:`typing.NamedTuple`
 classes, so each is the tuple of its fields: it supports ``len`` and
@@ -30,7 +29,6 @@ the same fields, even a value of another type.  Every dispatch on values is by
 
 from __future__ import annotations
 
-import re
 from math import gcd
 from typing import NamedTuple
 
@@ -45,17 +43,13 @@ __all__ = [
     "RootOfUnity",
     "RootSum",
     "Union",
-    "as_fraction",
     "canonical",
     "cardinality",
     "contains",
     "describe",
     "identity",
-    "inverse",
     "multiply",
-    "parse_root",
     "power",
-    "primitive_order",
     "render_root",
 ]
 
@@ -111,37 +105,9 @@ def power(z: RootOfUnity, k: int) -> RootOfUnity:
     return canonical(z.denominator, z.numerator * k)
 
 
-def inverse(z: RootOfUnity) -> RootOfUnity:
-    """The group inverse of z."""
-    return power(z, -1)
-
-
-def primitive_order(z: RootOfUnity) -> int:
-    """The least n > 0 with z^n = 1 (the reduced denominator)."""
-    return z.denominator
-
-
-def as_fraction(z: RootOfUnity):
-    """The exponent class as an exact fraction in [0, 1).  ``Fraction`` is
-    imported only here, so the return type is not annotated."""
-    from fractions import Fraction  # here, so that importing the package loads no fractions
-    return Fraction(z.numerator, z.denominator)
-
-
 def render_root(z: RootOfUnity) -> str:
     """Textual form 'z(n,j)' of the exponent class j/n."""
     return f"z({z.denominator},{z.numerator})"
-
-
-_ROOT_RE = re.compile(r"^z\(\s*(\d+)\s*,\s*(-?\d+)\s*\)$")
-
-
-def parse_root(text: str) -> RootOfUnity:
-    """Parse the textual form 'z(n,j)' back into a canonical root."""
-    m = _ROOT_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse root of unity: {text!r}")
-    return canonical(int(m.group(1)), int(m.group(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +194,6 @@ class RootSum:
         if k == 0:
             return RootSum.zero()
         return RootSum({r: k * c for r, c in self._terms.items()})
-
-    def mul_root(self, z: RootOfUnity) -> "RootSum":
-        """The sum multiplied by a single root of unity (distributes)."""
-        return RootSum.from_terms([(c, multiply(r, z)) for r, c in self._terms.items()])
 
     def map_exponent(self, m: int) -> "RootSum":
         """Apply the exponent map z -> z^m to every term.

@@ -4,17 +4,23 @@ The recurring pattern throughout these tests is a sweep over small prime
 powers q = p^k: the fields F_q are the concrete backends on which every
 formula-layer result can be checked against the brute-force oracle.  The
 concrete references for the square-class and Artin-Schreier embeddings are
-realized here, in the oracle's F_(q^2).
+realized here, in the oracle's F_(q^2), next to the references that only
+tests use: exponent classes as fractions, signed squarefree kernels and the
+characteristic-2 orbit relation.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from cyclokit import (
     artin_schreier_generator,
     canonical,
+    factorize,
     field_profile,
     identity,
     is_prime,
+    moduli,
     multiply,
     numtheory,
     quadcyclo,
@@ -43,6 +49,23 @@ def rho_calls(monkeypatch):
 
     monkeypatch.setattr(numtheory, "_brent_rho", counting_rho)
     return calls
+
+
+@pytest.fixture
+def cold_formula_caches():
+    """Clears every memo of the formula layer before the test, after it and
+    whenever the test calls it, so that no value computed under a
+    monkeypatched formula outlives the patch."""
+    caches = [f for module in (numtheory, field_profile, quadcyclo, moduli)
+              for f in vars(module).values() if hasattr(f, "cache_clear")]
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()
 
 
 def prime_powers(limit):
@@ -133,3 +156,38 @@ def absolute_trace_bit(field, n):
         trace = trace + a ** (2**i)
     assert trace in (E.zero, E.one), "absolute trace outside the prime field"
     return int(trace == E.one)
+
+
+def as_fraction(z):
+    """The exponent class of the root z as an exact fraction in [0, 1): the
+    group-law reference, under which roots multiply by adding fractions mod 1."""
+    return Fraction(z.numerator, z.denominator)
+
+
+def squarefree_kernel(n):
+    """The signed squarefree part of n: the product of primes with odd exponent.
+
+    The sign of n is preserved, so kernel(-12) == -3 and kernel(-4) == -1.
+    """
+    if n == 0:
+        raise ValueError("squarefree_kernel requires a nonzero integer")
+    sign = -1 if n < 0 else 1
+    kernel = 1
+    for p, e in factorize(abs(n)):
+        if e % 2 == 1:
+            kernel *= p
+    return sign * kernel
+
+
+def inseparable_orbit_related(ext, a, aprime):
+    """The orbit relation for inseparable quadratic classes in characteristic
+    2: a ~ c^2 a' - b^2 for some nonzero c and some b, by exhaustive search in
+    the oracle's field ``ext``.
+
+    Over a perfect field it relates every pair (squaring is onto), so the
+    inseparable moduli space is empty, as ``quad_moduli_summary`` states.
+    """
+    assert ext.p == 2, "the orbit relation applies in characteristic 2"
+    elements = list(ext.elements())
+    return any(a == c * c * aprime - b * b
+               for c in elements if not c.is_zero for b in elements)

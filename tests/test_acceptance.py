@@ -11,6 +11,7 @@ from math import gcd, lcm
 from time import perf_counter
 
 from cyclokit import (
+    RATIONAL,
     Mu,
     RationalSquareClass,
     RootSum,
@@ -37,8 +38,6 @@ from cyclokit import (
     nu,
     order_of_zeta,
     power,
-    primitive_order,
-    rational,
     s_max,
     yogh,
 )
@@ -55,7 +54,7 @@ from conftest import (
 )
 
 
-Q = rational()
+Q = RATIONAL
 
 
 def _verdict(num, label, failures, elapsed=None, budget=None):
@@ -204,7 +203,7 @@ def test_criterion_5_moduli_triple_equivalence():
             f"q={q}: presentation is not the mu-difference",
         )
         for z in enumerate_subset(Mu(q * q - 1)):
-            by_degree = is_quadratic(field, primitive_order(z))
+            by_degree = is_quadratic(field, z.denominator)
             kc = kappa_class(field, z)
             by_equaliser = kc.in_field and not contains_root(field, z)
             by_presentation = contains(pres, z)
@@ -322,6 +321,6 @@ def test_criterion_9_product_structure_of_roots():
             big = lcm(n, m)
             en, em = eps(n, 2), eps(m, 2)
             want = big // 2 if (en == em and en > 0) else big
-            if primitive_order(z) != want:
+            if z.denominator != want:
                 failures.append(f"product order of parts reps ({n}, {m}) is not {want}")
     _verdict(9, "multiply is exponent addition; product-order dichotomy exact", failures)

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from cyclokit import (
+    RATIONAL,
     PreconditionError,
     ResidueClass,
     euler_phi,
@@ -15,7 +16,6 @@ from cyclokit import (
     galois_image,
     is_quadratic,
     n_F,
-    rational,
     unit_group,
     yogh,
 )
@@ -23,7 +23,7 @@ from cyclokit import (
 from conftest import divisors, prime_powers
 
 
-Q = rational()
+Q = RATIONAL
 F5 = finite_field(5)
 F23 = finite_field(23)
 

@@ -20,6 +20,7 @@ import cyclokit.moduli as moduli_mod
 import cyclokit.oracle as oracle_mod
 import cyclokit.quadcyclo as quadcyclo_mod
 from cyclokit.cli import main
+from cyclokit.field_profile import Sign
 from cyclokit.numtheory import MAX_FACTOR_INPUT, ResidueClass, is_prime
 
 from conftest import valuation
@@ -560,6 +561,24 @@ def test_min_poly_mismatch_records(runner, broken_min_poly_16, args):
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
     assert payload["mismatches"] == broken_min_poly_16
+
+
+def test_a_formula_refusal_inside_verify_is_a_mismatch(runner, monkeypatch,
+                                                      cold_formula_caches):
+    # Every n that verify checks divides q^2 - 1 and is prime to p, so a
+    # formula that raises PreconditionError there disagrees with the oracle:
+    # a record naming n and exit 1, not exit 3.  Testing the minus sum for the
+    # plus sum makes min_poly refuse n = 8 and 24 over F_7.
+    cos_sum = quadcyclo_mod.cos_sum_in_field
+    monkeypatch.setattr(quadcyclo_mod, "cos_sum_in_field",
+                        lambda field, n, sign: cos_sum(field, n, Sign.MINUS))
+    result = runner.invoke(main, ["verify", "--field", "q:7"])
+    assert (result.exit_code, result.stderr) == (1, "")
+    detail = "2-power component of order 4 is incompatible with a quadratic extension"
+    refusals = [m for m in json.loads(result.stdout)["mismatches"]
+                if m["check"] == "precondition"]
+    assert refusals == [{"n": 8, "check": "precondition", "detail": detail},
+                        {"n": 24, "check": "precondition", "detail": detail}]
 
 
 # Each cross-check row, made to disagree: the module binding the command reads,

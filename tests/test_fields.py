@@ -13,9 +13,9 @@ import pytest
 
 from cyclokit import (
     MAX_FIELD_BITS,
+    RATIONAL,
     FieldProfile,
     PreconditionError,
-    ResidueClass,
     Sign,
     SizeBoundError,
     canonical,
@@ -23,12 +23,10 @@ from cyclokit import (
     cos_sum_in_field,
     ell,
     finite_field,
-    frobenius_exponent,
     n_F,
     order_of_zeta,
     parse_field,
     power,
-    rational,
     render_field,
 )
 from cyclokit import RootSum
@@ -37,7 +35,7 @@ from cyclokit.oracle import brute_order, build_field, embed_root, evaluate_sum
 from conftest import divisors, prime_powers
 
 
-Q = rational()
+Q = RATIONAL
 F5 = finite_field(5)
 F23 = finite_field(23)
 
@@ -218,25 +216,6 @@ def test_cos_sum_rational_membership_tables():
 def test_cos_sum_minus_rejects_odd_n():
     with pytest.raises(PreconditionError):
         cos_sum_in_field(F23, 5, Sign.MINUS)
-
-
-# ---------------------------------------------------------------------------
-# frobenius_exponent
-# ---------------------------------------------------------------------------
-
-
-def test_frobenius_exponent_frozen_values():
-    assert frobenius_exponent(F23, 16) == ResidueClass(7, 16)
-    assert frobenius_exponent(F5, 8) == ResidueClass(5, 8)
-    assert frobenius_exponent(F5, 3) == ResidueClass(2, 3)
-
-
-def test_frobenius_exponent_rejects_characteristic():
-    with pytest.raises(PreconditionError, match="characteristic 5 divides"):
-        frobenius_exponent(F5, 15)
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=f"order must be positive, got {n}"):
-            frobenius_exponent(F5, n)
 
 
 # ---------------------------------------------------------------------------

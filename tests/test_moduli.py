@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 
 from cyclokit import (
+    RATIONAL,
     ArtinSchreierClass,
     FiniteSquareClass,
     Mu,
@@ -41,26 +42,29 @@ from cyclokit import (
     multiply,
     nu,
     order_of_zeta,
-    primitive_order,
     quad_moduli_summary,
     radical_generator,
-    rational,
     s_max,
     s_n,
-    squarefree_kernel,
 )
 from cyclokit.oracle import (
     brute_moduli,
     build_field,
     evaluate_sum_rational,
-    inseparable_orbit_related,
 )
 from cyclokit.roots import enumerate as enumerate_subset
 
-from conftest import absolute_trace_bit, divisors, euler_is_residue, prime_powers
+from conftest import (
+    absolute_trace_bit,
+    divisors,
+    euler_is_residue,
+    inseparable_orbit_related,
+    prime_powers,
+    squarefree_kernel,
+)
 
 
-Q = rational()
+Q = RATIONAL
 F2 = finite_field(2)
 F3 = finite_field(3)
 F4 = finite_field(2, 2)
@@ -395,7 +399,7 @@ def test_moduli_triple_equivalence_small_fields():
         field = finite_field(p, k)
         pres = full_moduli(field).presentation
         for z in enumerate_subset(Mu(q * q - 1)):
-            n = primitive_order(z)
+            n = z.denominator
             by_degree = is_quadratic(field, n)
             kc = kappa_class(field, z)
             by_equaliser = kc.in_field and not contains_root(field, z)
@@ -563,4 +567,4 @@ def test_queries_over_f271_prove_no_prime_inside_eps(monkeypatch):
     with pytest.raises(ValueError, match="p must be prime"):
         ell(field, 4)
     with pytest.raises(ValueError, match="p must be prime"):
-        nu(rational(), 4)
+        nu(RATIONAL, 4)

@@ -1,14 +1,13 @@
 """Tests for the elementary number-theoretic helpers.
 
 Fixed input/output pairs are frozen here; the heavier identities
-(factorization reconstruction, modular inverses, CRT gluing, and the
-two-term power-sum recurrence against an explicit quadratic extension)
-are exercised as properties.
+(factorization reconstruction, orders, CRT gluing) are exercised as
+properties.  The signed squarefree kernel, the tests' reference for the
+rational square classes, lives in ``conftest`` and is checked here.
 """
 
 import random
 from collections import Counter
-from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
@@ -23,16 +22,12 @@ from cyclokit import (
     euler_phi,
     factorize,
     is_prime,
-    mod_inverse,
     mult_order,
     pfree_quotient,
-    squarefree_kernel,
-    waring_power_sum,
 )
 from cyclokit import numtheory
-from cyclokit.oracle import build_field
 
-from conftest import prime_powers
+from conftest import squarefree_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +225,7 @@ def test_eps_and_pfree_quotient_split_n(n, p):
 
 
 # ---------------------------------------------------------------------------
-# euler_phi / mult_order / mod_inverse / crt
+# euler_phi / mult_order / crt
 # ---------------------------------------------------------------------------
 
 
@@ -266,19 +261,6 @@ def test_mult_order_is_minimal_exponent():
             t = mult_order(a, m)
             assert pow(a, t, m) == 1
             assert all(pow(a, s, m) != 1 for s in range(1, t))
-
-
-@given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=1, max_value=10**4))
-def test_mod_inverse_is_an_inverse(m, a):
-    from math import gcd
-
-    a %= m
-    if a == 0 or gcd(a, m) != 1:
-        return
-    inv = mod_inverse(a, m)
-    assert inv.modulus == m
-    assert 0 <= inv.value < m
-    assert (a * inv.value) % m == 1
 
 
 def test_crt_frozen_value():
@@ -348,79 +330,6 @@ def test_squarefree_kernel_divides_and_is_squarefree():
         r = int(round(quot**0.5))
         assert r * r == quot
         assert all(e == 1 for _, e in factorize(abs(k))) or abs(k) == 1
-
-
-# ---------------------------------------------------------------------------
-# waring_power_sum: s_t = alpha^t + beta^t for roots of x^2 - a*x + b
-# ---------------------------------------------------------------------------
-
-
-def test_waring_power_sum_frozen_values():
-    assert waring_power_sum(-1, 1, 3) == 2
-    assert waring_power_sum(7, 3, 1) == 7
-    assert waring_power_sum(0, 1, 2) == -2
-
-
-def test_waring_power_sum_base_cases():
-    assert waring_power_sum(5, 2, 0) == 2
-    assert waring_power_sum(5, 2, 1) == 5
-
-
-class _Surd:
-    """Exact arithmetic in Q(sqrt(d)): values u + v*sqrt(d) with Fractions."""
-
-    __slots__ = ("u", "v", "d")
-
-    def __init__(self, u, v, d):
-        self.u, self.v, self.d = Fraction(u), Fraction(v), d
-
-    def __mul__(self, other):
-        return _Surd(
-            self.u * other.u + self.v * other.v * self.d,
-            self.u * other.v + self.v * other.u,
-            self.d,
-        )
-
-    def __add__(self, other):
-        return _Surd(self.u + other.u, self.v + other.v, self.d)
-
-
-def test_waring_power_sum_matches_explicit_quadratic_roots():
-    # alpha, beta = (a +- sqrt(a^2 - 4b)) / 2; verify s_t = alpha^t + beta^t
-    # exactly in Q(sqrt(d)) for t <= 20 and small coefficient ranges.
-    for a in range(-7, 8):
-        for b in range(-7, 8):
-            d = a * a - 4 * b
-            alpha = _Surd(Fraction(a, 2), Fraction(1, 2), d)
-            beta = _Surd(Fraction(a, 2), Fraction(-1, 2), d)
-            pa = _Surd(1, 0, d)
-            pb = _Surd(1, 0, d)
-            for t in range(0, 21):
-                s = pa + pb
-                assert s.v == 0
-                assert s.u == waring_power_sum(a, b, t)
-                pa = pa * alpha
-                pb = pb * beta
-
-
-def test_waring_power_sum_matches_frobenius_pair_in_explicit_fields():
-    # Over F_q the roots of an irreducible x^2 - a*x + b are alpha and
-    # alpha^q in F_{q^2}; the power sums reduce mod p to alpha^t + alpha^(qt).
-    for p, k, q in prime_powers(50):
-        if k != 1:
-            continue  # the integer recurrence reduces through the prime field
-        E = build_field(p, 2)
-        for a, b in [(1, 1), (2, 3), (p - 1, 1), (3, p - 1)]:
-            av, bv = E.from_int_mod(a), E.from_int_mod(b)
-            roots = [x for x in E.elements() if x * x - av * x + bv == E.zero]
-            assert roots, "x^2 - a*x + b always splits over the quadratic extension"
-            if len(roots) == 1:
-                roots = roots * 2  # repeated root (zero discriminant)
-            acc0, acc1 = E.one, E.one
-            for t in range(0, 21):
-                want = waring_power_sum(a, b, t) % p
-                assert acc0 + acc1 == E.from_int_mod(want)
-                acc0, acc1 = acc0 * roots[0], acc1 * roots[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cyclokit import (
     CASE_TWO_HIGH_MINUS,
     CASE_TWO_HIGH_PLUS,
     CASE_TWO_LOW,
+    RATIONAL,
     PreconditionError,
     RootSum,
     Sign,
@@ -45,7 +46,6 @@ from cyclokit import (
     order_of_zeta,
     power,
     radical_generator,
-    rational,
     t_nF,
     yogh,
 )
@@ -61,7 +61,7 @@ from cyclokit.oracle import (
 from conftest import artin_schreier_values, divisors, prime_powers, valuation
 
 
-Q = rational()
+Q = RATIONAL
 F2 = finite_field(2)
 F4 = finite_field(2, 2)
 F5 = finite_field(5)

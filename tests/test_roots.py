@@ -21,22 +21,18 @@ from cyclokit import (
     RootOfUnity,
     RootSum,
     Union,
-    as_fraction,
     canonical,
     cardinality,
     contains,
     describe,
     identity,
-    inverse,
     multiply,
-    parse_root,
     power,
-    primitive_order,
     render_root,
 )
 from cyclokit.roots import _sign_rep, enumerate as enumerate_subset
 
-from conftest import parts_product
+from conftest import as_fraction, parts_product
 
 
 roots_strategy = st.builds(
@@ -47,7 +43,7 @@ roots_strategy = st.builds(
 
 
 # ---------------------------------------------------------------------------
-# canonical / multiply / power / primitive_order
+# canonical / multiply / power / render_root
 # ---------------------------------------------------------------------------
 
 
@@ -69,16 +65,21 @@ def test_power_frozen_values():
 
 
 def test_primitive_order_frozen_values():
-    assert primitive_order(canonical(12, 8)) == 3
-    assert primitive_order(identity) == 1
-    assert primitive_order(canonical(16, 3)) == 16
+    # the reduced denominator is the primitive order
+    assert canonical(12, 8).denominator == 3
+    assert identity.denominator == 1
+    assert canonical(16, 3).denominator == 16
 
 
 def test_render_and_parse_round_trip():
+    # the printed form z(n,j) names the reduced class j/n, so reading the two
+    # numbers back gives the root
     for n in range(1, 40):
         for j in range(n):
             z = canonical(n, j)
-            assert parse_root(render_root(z)) == z
+            text = render_root(z)
+            assert text == f"z({z.denominator},{z.numerator})"
+            assert canonical(*map(int, text[2:-1].split(","))) == z
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +93,14 @@ def test_group_laws(x, y, z):
     assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
     assert multiply(x, y) == multiply(y, x)
     assert multiply(x, identity) == x
-    assert multiply(x, inverse(x)) == identity
+    assert multiply(x, power(x, -1)) == identity
 
 
 @settings(max_examples=300)
 @given(roots_strategy, st.integers(min_value=-12, max_value=12))
 def test_power_is_iterated_multiplication(z, e):
     acc = identity
-    step = z if e >= 0 else inverse(z)
+    step = z if e >= 0 else power(z, -1)
     for _ in range(abs(e)):
         acc = multiply(acc, step)
     assert power(z, e) == acc
@@ -132,7 +133,7 @@ def test_coprime_product_order():
             if gcd(m, n) != 1:
                 continue
             z = multiply(canonical(m, 1), canonical(n, 1))
-            assert primitive_order(z) == m * n
+            assert z.denominator == m * n
 
 
 def test_product_of_prime_power_roots_formula():
@@ -158,14 +159,14 @@ def test_product_order_lcm_dichotomy():
 
     for n in range(1, 61):
         wn = parts_product(n)
-        assert primitive_order(wn) == n
+        assert wn.denominator == n
         for m in range(1, 61):
             z = multiply(wn, parts_product(m))
             big = lcm(n, m)
             if eps2(n) == eps2(m) and eps2(n) > 0:
-                assert primitive_order(z) == big // 2
+                assert z.denominator == big // 2
             else:
-                assert primitive_order(z) == big
+                assert z.denominator == big
 
 
 def test_finite_subgroup_closure_is_mu_of_max_order():
@@ -189,7 +190,7 @@ def test_finite_subgroup_closure_is_mu_of_max_order():
                         closure.add(c)
                         nxt.append(c)
             frontier = nxt
-        n_max = max(primitive_order(z) for z in closure)
+        n_max = max(z.denominator for z in closure)
         assert closure == set(enumerate_subset(Mu(n_max)))
 
 
@@ -204,7 +205,7 @@ def test_enumerate_frozen_cardinalities():
     diff = Difference(Mu(8), Mu(4))
     elems = list(enumerate_subset(diff))
     assert len(elems) == 4
-    assert all(primitive_order(z) == 8 for z in elems)
+    assert all(z.denominator == 8 for z in elems)
 
 
 def test_cardinality_matches_enumeration():
@@ -284,14 +285,6 @@ def test_root_sum_map_exponent_is_additive_on_terms():
     assert t == want
 
 
-def test_root_sum_mul_root_shifts_each_term():
-    s = RootSum.of(canonical(8, 1)) - RootSum.of(canonical(8, 3))
-    shifted = s.mul_root(canonical(8, 2))
-    want = RootSum.of(canonical(8, 3)) - RootSum.of(canonical(8, 5))
-    assert shifted == want
-    assert s.lcm_order() == 8
-
-
 def test_package_all_resolves_without_shadowing_enumerate():
     for name in cyclokit.__all__:
         assert hasattr(cyclokit, name), name
@@ -341,8 +334,6 @@ def test_root_sums_normalize_compare_and_hash_as_by_the_group_law(raw):
     assert hash(s) == hash(frozenset(reference.items()))
     assert s.terms() == [(c, r) for r, c in sorted(reference.items())]
     assert s.map_exponent(5) == RootSum.from_terms([(c, power(r, 5)) for c, r in s.terms()])
-    assert s.mul_root(canonical(6, 1)) == RootSum.from_terms(
-        [(c, multiply(r, canonical(6, 1))) for c, r in s.terms()])
     assert s.lcm_order() == lcm(1, *(r.denominator for r in reference))
 
 
