@@ -271,9 +271,9 @@ def moduli_command(field_spec: str, prime: int | None) -> Report:
     if prime is not None:
         results = {
             "per_prime": _as_json(moduli_mod.m2p(field, prime)),
-            "nu": quadcyclo.nu(field, prime).to_json(),
-            "nu_plus": quadcyclo.nu_plus(field, prime).to_json(),
-            "ell": ell(field, prime).to_json(),
+            "nu": quadcyclo.nu(field, prime),
+            "nu_plus": quadcyclo.nu_plus(field, prime),
+            "ell": ell(field, prime),
         }
         if prime == 2:
             results["c2"] = quadcyclo.has_property_C2(field)
@@ -340,7 +340,7 @@ def classify(field_spec: str) -> Report:
         "s_max": _s_max_json(partition),
         "order_two": _as_json(moduli_mod.g2(field)),
         "quad_moduli_summary": moduli_mod.quad_moduli_summary(field),
-        "nu": {str(p): quadcyclo.nu(field, p).to_json() for p in primes},
+        "nu": {str(p): quadcyclo.nu(field, p) for p in primes},
     }
     if not field.is_rational:
         results["q"] = field.q

@@ -12,8 +12,7 @@ conjugation ((q^2 - 1, q) over F_q; (4, 3) and (6, 5) over Q).
 * ``order_of_zeta`` — the order of the primitive n-th root in the quotient
   group K*/F*, which equals n / n_F;
 * ``ell`` — the largest k with a primitive p^k-th root in F, the p-adic
-  valuation of w (an extended natural, infinite never occurring for these
-  two backends);
+  valuation of w (finite for both backends, so a plain int);
 * membership predicates for single roots and for the two cosine-like sums
   z + 1/z and z - 1/z, read off each K's conjugation.
 
@@ -51,40 +50,15 @@ __all__ = [
 ]
 
 
-class ExtendedNat(NamedTuple):
-    """A natural number or infinity: ``key`` is (0, n) for a finite n and
-    (1, 0) for infinity.
+class ExtendedNat(int):
+    """The int that ``quadcyclo.nu`` returns.  In the paper nu may be
+    infinite, but over Q and F_q it never is; ``to_json`` remains only
+    because ``bench/lib_session.py`` calls it."""
 
-    Ordering treats infinity as greater than every finite value; arithmetic
-    is only offered on finite values via :meth:`finite_value`.
-    """
+    __slots__ = ()
 
-    key: tuple[int, int]
-
-    @classmethod
-    def finite(cls, n: int) -> "ExtendedNat":
-        if n < 0:
-            raise ValueError(f"extended natural must be nonnegative, got {n}")
-        return cls((0, n))
-
-    @classmethod
-    def infinity(cls) -> "ExtendedNat":
-        return cls((1, 0))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.key[0] == 0
-
-    def finite_value(self) -> int:
-        if not self.is_finite:
-            raise ValueError("value is infinite")
-        return self.key[1]
-
-    def __str__(self) -> str:
-        return str(self.key[1]) if self.is_finite else "inf"
-
-    def to_json(self) -> int | str:
-        return self.key[1] if self.is_finite else "inf"
+    def to_json(self) -> int:
+        return int(self)
 
 
 class Sign(enum.Enum):
@@ -230,11 +204,11 @@ def order_of_zeta(field: FieldProfile, n: int) -> int:
     return n // n_F(field, n)
 
 
-def ell(field: FieldProfile, p: int) -> ExtendedNat:
+def ell(field: FieldProfile, p: int) -> int:
     """The largest k with a primitive p^k-th root of unity in F: the p-adic
     valuation of |mu(F)|."""
     _check_prime_for(field, p)
-    return ExtendedNat.finite(eps(field.roots_of_unity, p))
+    return eps(field.roots_of_unity, p)
 
 
 def contains_root(field: FieldProfile, z: RootOfUnity) -> bool:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .field_profile import FieldProfile, contains_root, order_of_zeta, prime_basis
-from .numtheory import eps, factorize, pfree_quotient
+from .numtheory import eps, factorize
 from .quadcyclo import (
     artin_schreier_generator,
     bounded_degree,
@@ -108,7 +108,7 @@ def m2p(field: FieldProfile, p: int) -> ModuliDescription:
     exactly when nu = ell, otherwise a single class represented by the
     p^(ell+1)-th root.
     """
-    nu_val = nu(field, p).finite_value()
+    nu_val = nu(field, p)
     ell_val = eps(field.roots_of_unity, p)
     presentation = Difference(Mu(p**nu_val), Mu(p**ell_val))
     classes: tuple[ModuliClass, ...] = ()
@@ -152,11 +152,11 @@ def _split_two_part(z: RootOfUnity, two_part: int) -> tuple[int, RootOfUnity]:
     (k, w) with z = (primitive two_part-th root)^k * w and w of odd order.
     """
     n = z.denominator
-    odd = pfree_quotient(n, 2)
-    if n // odd != two_part:
+    if n & -n != two_part:
         raise PreconditionError(
-            f"order {n} has 2-part {n // odd}, expected {two_part}"
+            f"order {n} has 2-part {n & -n}, expected {two_part}"
         )
+    odd = n // two_part
     k = z.numerator * pow(odd, -1, two_part) % two_part
     j = z.numerator * pow(two_part, -1, odd) % odd if odd > 1 else 0
     return k, canonical(odd, j)

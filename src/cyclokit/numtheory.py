@@ -41,7 +41,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "mult_order",
-    "pfree_quotient",
 ]
 
 #: Largest integer :func:`factorize` accepts (64-bit signed range).
@@ -241,11 +240,6 @@ def eps(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def pfree_quotient(n: int, p: int) -> int:
-    """The p-free part of n, i.e. n divided by p^eps(n, p)."""
-    return n // p ** eps(n, p)
 
 
 def euler_phi(n: int) -> int:

@@ -139,9 +139,6 @@ class FFElement:
         E = self.field
         return FFElement(E, E._pow(self.value if e >= 0 else E._inverse(self.value), abs(e)))
 
-    def inverse(self) -> "FFElement":
-        return FFElement(self.field, self.field._inverse(self.value))
-
     @property
     def is_zero(self) -> bool:
         return self.value == 0
@@ -268,17 +265,9 @@ class ExplicitField:
             for r in _prime_factors(self.k)
         )
 
-    def from_int_mod(self, value: int) -> FFElement:
-        """The image of an integer (a prime-field constant)."""
-        return FFElement(self, value % self.p)
-
     def from_encoding(self, code: int) -> FFElement:
         """The element whose coefficient vector is the base-p digits of code."""
         return FFElement(self, self._pack(code // self.p**i % self.p for i in range(self.k)))
-
-    def elements(self):
-        """Iterate all q elements in encoding order."""
-        return map(self.from_encoding, range(self.q))
 
     @property
     def generator(self) -> FFElement:

@@ -352,12 +352,13 @@ def nu(field: FieldProfile, p: int) -> ExtendedNat:
     quadratic cyclotomic extension K, max eps(|mu(K)|, p).  Over F_q that is
     eps(q^2 - 1, p); over Q, 2, 1, 0 for p = 2, 3 and larger primes.  Only
     valuations are taken, so it answers for every prime that
-    ``numtheory.is_prime`` decides, at any size of q."""
+    ``numtheory.is_prime`` decides, at any size of q.  Finite over Q and
+    F_q, so an int (an :class:`ExtendedNat`)."""
     _check_prime_for(field, p)
-    return ExtendedNat((0, max([eps(big, p) for big, _ in field.quadratic_extensions])))
+    return ExtendedNat(max([eps(big, p) for big, _ in field.quadratic_extensions]))
 
 
-def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
+def nu_plus(field: FieldProfile, p: int) -> int:
     """The largest k such that the plus sum at t(p^k) lies in F: nu, less one
     exactly when p = 2 and the field has the property-C2 witness.
 
@@ -368,8 +369,7 @@ def nu_plus(field: FieldProfile, p: int) -> ExtendedNat:
     exactly when 2^k divides q + 1: the top exponent eps(q + 1, 2) + 1 is
     the property-C2 witness, whose minus sum, not its plus sum, lies in F.
     """
-    top = nu(field, p).finite_value()
-    return ExtendedNat.finite(top - (p == 2 and has_property_C2(field) is not None))
+    return nu(field, p) - (p == 2 and has_property_C2(field) is not None)
 
 
 class KappaClass(NamedTuple):

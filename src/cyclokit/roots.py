@@ -32,8 +32,6 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .numtheory import euler_phi
-
 __all__ = [
     "Difference",
     "InternalProduct",
@@ -44,7 +42,6 @@ __all__ = [
     "RootSum",
     "Union",
     "canonical",
-    "cardinality",
     "contains",
     "describe",
     "identity",
@@ -64,12 +61,6 @@ class RootOfUnity(NamedTuple):
 
     denominator: int
     numerator: int
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return multiply(self, other)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return power(self, k)
 
     def __str__(self) -> str:
         return render_root(self)
@@ -316,15 +307,6 @@ def contains(ms: MuSubset, z: RootOfUnity) -> bool:
     if isinstance(ms, InternalProduct):
         return z in _enum_set(ms)
     raise TypeError(f"not a root-of-unity set expression: {ms!r}")
-
-
-def cardinality(ms: MuSubset) -> int:
-    """Number of elements of the (finite) set."""
-    if isinstance(ms, Mu):
-        return ms.n
-    if isinstance(ms, PrimSet):
-        return euler_phi(ms.n)
-    return len(_enum_set(ms))
 
 
 def describe(ms: MuSubset) -> str:

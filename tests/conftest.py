@@ -179,6 +179,11 @@ def squarefree_kernel(n):
     return sign * kernel
 
 
+def field_elements(ext):
+    """All q elements of the oracle's field ``ext``, in encoding order."""
+    return list(map(ext.from_encoding, range(ext.q)))
+
+
 def inseparable_orbit_related(ext, a, aprime):
     """The orbit relation for inseparable quadratic classes in characteristic
     2: a ~ c^2 a' - b^2 for some nonzero c and some b, by exhaustive search in
@@ -188,6 +193,6 @@ def inseparable_orbit_related(ext, a, aprime):
     inseparable moduli space is empty, as ``quad_moduli_summary`` states.
     """
     assert ext.p == 2, "the orbit relation applies in characteristic 2"
-    elements = list(ext.elements())
+    elements = field_elements(ext)
     return any(a == c * c * aprime - b * b
                for c in elements if not c.is_zero for b in elements)

@@ -2,8 +2,6 @@
 (at most degree-2) Galois action on roots of unity.
 """
 
-from math import gcd
-
 import pytest
 
 from cyclokit import (

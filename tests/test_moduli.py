@@ -5,7 +5,6 @@ Artin-Schreier embeddings.
 """
 
 import sys
-from math import gcd
 
 import pytest
 
@@ -18,7 +17,6 @@ from cyclokit import (
     RationalSquareClass,
     artin_schreier_generator,
     canonical,
-    cardinality,
     chi_as,
     chi_rad,
     contains,
@@ -58,6 +56,7 @@ from conftest import (
     absolute_trace_bit,
     divisors,
     euler_is_residue,
+    field_elements,
     inseparable_orbit_related,
     prime_powers,
     squarefree_kernel,
@@ -104,8 +103,8 @@ def test_m2p_presentation_is_nu_vs_ell():
             if prime == p:
                 continue
             d = m2p(field, prime)
-            v = nu(field, prime).finite_value()
-            l = ell(field, prime).finite_value()
+            v = nu(field, prime)
+            l = ell(field, prime)
             assert describe(d.presentation) == f"mu({prime**v}) - mu({prime**l})"
             assert d.cardinality == prime**v - prime**l
             assert len(d.classes) == (0 if v == l else 1)
@@ -129,8 +128,8 @@ def test_m2p_exponents_match_the_oracle_scan():
             if r == p:
                 continue
             entries = [n for n, _ in scanned if _is_power_of(n, r)]
-            v = nu(field, r).finite_value()
-            l = ell(field, r).finite_value()
+            v = nu(field, r)
+            l = ell(field, r)
             assert set(entries) == {r**i for i in range(l + 1, v + 1)}
             assert m2p(field, r).cardinality == len(entries)
 
@@ -195,7 +194,7 @@ def test_g2_star_frozen_values():
 
 def test_g2_star_identity_element():
     for field in (F5, F7, F23, Q):
-        l = ell(field, 2).finite_value()
+        l = ell(field, 2)
         e = canonical(2 ** (l + 1), 1)
         for z in enumerate_subset(g2(field).presentation):
             assert g2_star(field, e, z) == z
@@ -212,7 +211,7 @@ def test_g2_star_group_axioms_by_enumeration():
         field = finite_field(q)
         elems = list(enumerate_subset(g2(field).presentation))
         assert len(elems) == q - 1
-        l = ell(field, 2).finite_value()
+        l = ell(field, 2)
         e = canonical(2 ** (l + 1), 1)
         star = lambda a, b: g2_star(field, a, b)
         for a in elems:
@@ -324,8 +323,8 @@ def test_s_max_rational():
     two, three = part.classes
     assert two.representative_n == 4
     assert three.representative_n == 3
-    assert cardinality(two.presentation) == 2
-    assert cardinality(three.presentation) == 4
+    assert len(enumerate_subset(two.presentation)) == 2
+    assert len(enumerate_subset(three.presentation)) == 4
     assert describe(two.presentation) == "(mu(4) * mu(1)) - (mu(2) * mu(1))"
     assert describe(three.presentation) == "(mu(3) * mu(2)) - (mu(1) * mu(2))"
     assert two.minpoly == "x^2 - (0)*x + (z(1,0))"
@@ -536,7 +535,7 @@ def test_inseparable_orbit_collapses_on_perfect_fields():
     # a ~ c^2 a' - b^2: over a perfect field of characteristic 2 every pair
     # is related, so the orbit space is a point and contributes no classes.
     E = build_field(2, 2)
-    elems = list(E.elements())
+    elems = field_elements(E)
     for a in elems:
         for b in elems:
             assert inseparable_orbit_related(E, a, b)
@@ -545,7 +544,7 @@ def test_inseparable_orbit_collapses_on_perfect_fields():
 def test_queries_over_f271_prove_no_prime_inside_eps(monkeypatch):
     # One lib-sweep field query and every order query over F_271.  Only the
     # public entry of nu proves each queried prime; no is_prime call comes
-    # from eps, whether through g2's pfree_quotient, has_property_C2 or ell.
+    # from eps, whether through g2, has_property_C2 or ell.
     from cyclokit import field_profile, galois_image, numtheory
     field = finite_field(271)
     callers = []

@@ -68,7 +68,7 @@ MUTANTS = [
            VERIFY,
            lambda: run("analyze", "--field", FIELD, "--n", "8")),
     Mutant("nu_one_too_high_at_3", ((quadcyclo, "nu"), (moduli, "nu")),
-           lambda nu: lambda field, p: ExtendedNat.finite(nu(field, p).finite_value() + (p == 3)),
+           lambda nu: lambda field, p: ExtendedNat(nu(field, p) + (p == 3)),
            VERIFY,
            lambda: run("moduli", "--field", FIELD, "--prime", "3"),
            "no row compares nu with the p-parts of the orders brute_order finds"),

@@ -23,7 +23,6 @@ from cyclokit import (
     factorize,
     is_prime,
     mult_order,
-    pfree_quotient,
 )
 from cyclokit import numtheory
 
@@ -31,7 +30,7 @@ from conftest import squarefree_kernel
 
 
 # ---------------------------------------------------------------------------
-# factorize / eps / pfree_quotient
+# factorize / eps
 # ---------------------------------------------------------------------------
 
 
@@ -210,16 +209,10 @@ def test_eps_takes_any_base_from_two_without_testing_primality():
             eps(n, p)
 
 
-def test_pfree_quotient_frozen_values():
-    assert pfree_quotient(24, 2) == 3
-    assert pfree_quotient(16, 2) == 1
-    assert pfree_quotient(45, 3) == 5
-
-
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([2, 3, 5, 7, 11]))
 def test_eps_and_pfree_quotient_split_n(n, p):
     e = eps(n, p)
-    m = pfree_quotient(n, p)
+    m = n // p**e
     assert n == p**e * m
     assert m % p != 0
 

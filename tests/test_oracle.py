@@ -42,7 +42,7 @@ from cyclokit.oracle import (
     rational_min_poly,
 )
 
-from conftest import divisors
+from conftest import divisors, field_elements
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_field_axioms_sampled():
     rng = random.Random(20260814)
     for p, k in ((2, 4), (5, 2), (23, 2), (3, 3)):
         E = build_field(p, k)
-        elems = list(E.elements())
+        elems = field_elements(E)
         for _ in range(1000):
             a, b, c = (rng.choice(elems) for _ in range(3))
             assert (a + b) + c == a + (b + c)
@@ -106,7 +106,7 @@ def test_field_axioms_sampled():
             assert a * E.one == a
         for a in elems:
             if not a.is_zero:
-                assert a * a.inverse() == E.one
+                assert a * a ** -1 == E.one
 
 
 @pytest.mark.parametrize(
@@ -128,7 +128,7 @@ def test_multiplicative_group_order():
     for p, k in ((2, 4), (5, 2), (7, 2)):
         E = build_field(p, k)
         q = p**k
-        for a in E.elements():
+        for a in field_elements(E):
             if not a.is_zero:
                 assert a ** (q - 1) == E.one
 
@@ -198,7 +198,7 @@ def test_evaluate_sum_is_linear():
     E = build_field(23, 2)
     s = RootSum.of(canonical(16, 1)) - RootSum.of(canonical(16, 3)).scale(2)
     got = evaluate_sum(E, s)
-    want = embed_root(E, canonical(16, 1)) - embed_root(E, canonical(16, 3)) * E.from_int_mod(2)
+    want = embed_root(E, canonical(16, 1)) - embed_root(E, canonical(16, 3)) * 2
     assert got == want
     assert evaluate_sum(E, RootSum.zero()).is_zero
 
@@ -344,7 +344,7 @@ def test_frobenius_matrix_equals_literal_power(p, k):
     E = build_field(p, k)
     for j in range(1, k + 1):
         q = p**j
-        for w in E.elements():
+        for w in field_elements(E):
             assert _frobenius(w, q) == w**q
 
 
@@ -504,9 +504,9 @@ def test_packed_arithmetic_matches_schoolbook_reference(pk, data):
     assert _frobenius(x, p**j).coeffs == _schoolbook_pow(a, p**j, E.modulus, p)
     if x.is_zero:
         with pytest.raises(ZeroDivisionError):
-            x.inverse()
+            x ** -1
     else:
-        assert _schoolbook_mul(a, x.inverse().coeffs, E.modulus, p) == E.one.coeffs
+        assert _schoolbook_mul(a, (x ** -1).coeffs, E.modulus, p) == E.one.coeffs
 
 
 def test_oversized_fields_are_refused_before_computing_them():

@@ -5,9 +5,11 @@ A name in a submodule's ``__all__`` that no file under ``src/cyclokit`` and no
 the tests keep alive: delete it, or move it into ``tests/`` when it is a
 test's own reference.  ``KEPT`` holds the names kept because they state a
 paper claim that the tests check.  Files are read as source with ``ast``, so
-nothing under ``bench/`` is imported.  Names are matched by spelling alone,
-so a name counts as used wherever a name or an attribute spelled the same is
-loaded, such as a value type's field.
+nothing under ``bench/`` is imported.  Names are matched by owner: a public
+name of module M counts as used only where it is loaded bare after an import
+from M or from the ``cyclokit`` package, as ``M.name`` or ``ck.name`` through
+a module or package binding, or bare inside M itself.  A value type's field
+spelled like a function, read as ``desc.cardinality``, does not count.
 """
 
 import ast
@@ -40,23 +42,58 @@ def public_names() -> set[str]:
     return names
 
 
+def _owner(module: str | None, level: int) -> str | None:
+    """The submodule, or ``cyclokit`` for the package, that an import reads
+    from; None outside the package."""
+    if level:
+        return module or PACKAGE.name
+    if module == PACKAGE.name:
+        return module
+    prefix = PACKAGE.name + "."
+    return module[len(prefix):] if module and module.startswith(prefix) else None
+
+
 def loaded_names() -> set[str]:
-    """Every name the sources load, bare or as an attribute, outside the
-    top-level definition of that same name."""
+    """``owner.name`` for every name the sources load through its owner,
+    ``owner`` being a submodule or ``cyclokit`` for the package."""
+    submodules = {path.stem for path in PACKAGE.glob("*.py")}
     loaded = set()
     for path in SOURCES:
-        for top in ast.parse(path.read_text()).body:
-            names = {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(top)
-                     if isinstance(node, (ast.Name, ast.Attribute))
-                     and isinstance(node.ctx, ast.Load)}
-            loaded |= names - {getattr(top, "name", None)}
+        tree = ast.parse(path.read_text())
+        modules, imported = {}, {}  # local name -> owner, local name -> owner.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if (owner := _owner(alias.name, 0)) and alias.asname:
+                        modules[alias.asname] = owner  # import cyclokit.cli as cli
+                    elif owner:
+                        modules[alias.name.split(".")[0]] = PACKAGE.name
+            elif isinstance(node, ast.ImportFrom) and (owner := _owner(node.module, node.level)):
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if owner == PACKAGE.name and alias.name in submodules:
+                        modules[local] = alias.name
+                    else:
+                        imported[local] = f"{owner}.{alias.name}"
+        home = path.stem if path.parent == PACKAGE else None
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name) and node.id in imported:
+                    loaded.add(imported[node.id])
+                elif isinstance(node, ast.Name) and home and node.id != getattr(top, "name", None):
+                    loaded.add(f"{home}.{node.id}")
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in modules):
+                    loaded.add(f"{modules[node.value.id]}.{node.attr}")
     return loaded
 
 
 def unused() -> set[str]:
     loaded = loaded_names()
-    return {name for name in public_names() if name.split(".")[1] not in loaded}
+    return {name for name in public_names()
+            if not {name, f"{PACKAGE.name}.{name.split('.')[1]}"} & loaded}
 
 
 def test_every_public_name_is_used_or_kept_for_a_claim():

@@ -527,21 +527,21 @@ def test_property_C2_witness_conditions():
 
 
 def test_nu_frozen_values():
-    assert nu(F23, 2).finite_value() == 4
-    assert nu_plus(F23, 2).finite_value() == 3
-    assert nu(F5, 2).finite_value() == 3
-    assert nu(Q, 2).finite_value() == 2
-    assert nu(Q, 3).finite_value() == 1
-    assert nu(Q, 5).finite_value() == 0
-    assert nu_plus(Q, 2).finite_value() == 2
+    assert nu(F23, 2) == 4
+    assert nu_plus(F23, 2) == 3
+    assert nu(F5, 2) == 3
+    assert nu(Q, 2) == 2
+    assert nu(Q, 3) == 1
+    assert nu(Q, 5) == 0
+    assert nu_plus(Q, 2) == 2
     # nu answers at primes above factorize's bound.
-    assert nu(Q, 9223372036854775837).finite_value() == 0
-    assert nu_plus(Q, 9223372036854775837).finite_value() == 0
+    assert nu(Q, 9223372036854775837) == 0
+    assert nu_plus(Q, 9223372036854775837) == 0
 
 
 def test_nu_at_a_large_prime_of_q2_minus_1_makes_no_rho_call(rho_calls):
     # q^2 - 1 = 2^3 * 3 * 89 * 4804363 * 641382461 for q = 2565529843.
-    assert nu(finite_field(2565529843), 641382461).finite_value() == 1
+    assert nu(finite_field(2565529843), 641382461) == 1
     assert rho_calls == []
 
 
@@ -554,8 +554,8 @@ def test_nu_answers_at_prime_powers_above_the_factorize_bound(q, p):
     # the sum of the valuations of q - 1 and q + 1.
     field = finite_field(q)
     expected = valuation(q - 1, p) + valuation(q + 1, p)
-    assert nu(field, p).finite_value() == expected
-    assert nu_plus(field, p).finite_value() == expected
+    assert nu(field, p) == expected
+    assert nu_plus(field, p) == expected
 
 
 def test_nu_rejects_characteristic():
@@ -579,13 +579,13 @@ def test_nu_plus_is_max_plus_sum_exponent():
         for j in range(1, bound + 1):
             if cos_sum_in_field(field, t_nF(field, prime**j), Sign.PLUS):
                 best = j
-        assert nu_plus(field, prime).finite_value() == best
+        assert nu_plus(field, prime) == best
 
 
 def test_nu_adds_one_only_for_two_with_C2():
     for field, prime in _nu_sweep(with_rational=True):
         bump = 1 if (prime == 2 and has_property_C2(field) is not None) else 0
-        assert nu(field, prime).finite_value() == nu_plus(field, prime).finite_value() + bump
+        assert nu(field, prime) == nu_plus(field, prime) + bump
 
 
 # ---------------------------------------------------------------------------

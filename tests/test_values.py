@@ -9,6 +9,7 @@ checked separately, and every annotation in the package must resolve.
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import typing
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 import cyclokit
 
 from cyclokit.automorphisms import FixingSubgroup, UnitGroup
-from cyclokit.field_profile import RATIONAL, ExtendedNat, FieldProfile
+from cyclokit.field_profile import RATIONAL, ExtendedNat, FieldProfile, ell, finite_field
 from cyclokit.moduli import (
     ArtinSchreierClass,
     FiniteSquareClass,
@@ -35,6 +36,8 @@ from cyclokit.quadcyclo import (
     QuadMinPoly,
     RadicalGenerator,
     TraceShape,
+    nu,
+    nu_plus,
 )
 from cyclokit.roots import (
     Difference,
@@ -129,14 +132,21 @@ def test_value_repr_hash_and_immutability(value, text, fields, name):
 
 
 def test_extended_nat_hash_immutability_and_repr_shape():
-    # The field's name is not pinned: only the type and the encoding (0, n).
-    value = ExtendedNat.finite(3)
-    assert repr(value).startswith("ExtendedNat(")
-    assert repr(value).endswith("=(0, 3))")
-    assert hash(value) == hash(((0, 3),))
-    assert hash(ExtendedNat.infinity()) == hash(((1, 0),))
+    # nu's value is an int in all but its one method: equal, hashed, ordered
+    # and rendered as the int, in JSON too, and no attribute can be set.
+    # ell and nu_plus return plain ints.
+    field = finite_field(23)
+    value = nu(field, 2)
+    assert type(value) is ExtendedNat and value == 4 and 3 < value < 5
+    assert hash(value) == hash(4)
+    assert repr(value) == str(value) == "4"
+    assert json.dumps({"nu": value}) == '{"nu": 4}'
+    assert value.to_json() == 4 and type(value.to_json()) is int
+    assert ExtendedNat.__slots__ == ()
+    assert [name for name in vars(ExtendedNat) if not name.startswith("__")] == ["to_json"]
     with pytest.raises(AttributeError):
-        value.key = (0, 4)
+        value.label = "nu"
+    assert type(ell(field, 2)) is int and type(nu_plus(field, 2)) is int
 
 
 def test_residue_class_normalises_and_refuses_bad_moduli():
@@ -153,16 +163,6 @@ def test_root_of_unity_orders_by_denominator_then_numerator():
     assert sorted(roots) == [RootOfUnity(1, 0), RootOfUnity(2, 1),
                              RootOfUnity(4, 1), RootOfUnity(4, 3)]
     assert RootOfUnity(3, 2) < RootOfUnity(4, 1)
-
-
-def test_extended_nat_orders_infinity_above_every_finite_value():
-    inf = ExtendedNat.infinity()
-    finite = [ExtendedNat.finite(n) for n in (0, 1, 7, 2**70)]
-    assert sorted([inf, *reversed(finite)]) == [*finite, inf]
-    assert all(f < inf for f in finite)
-    assert max(finite) == ExtendedNat.finite(2**70)
-    assert ExtendedNat.finite(7).finite_value() == 7
-    assert str(inf) == "inf" and inf.to_json() == "inf"
 
 
 def test_default_field_profile_is_the_rationals():
