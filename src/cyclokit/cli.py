@@ -38,11 +38,16 @@ for which the brute-force oracle is consulted.  ``analyze`` and ``verify``
 read it once, at their start, whatever the field: a value that is not a
 positive integer is a usage error for them.  ``classify`` and ``moduli``
 never consult the oracle and ignore it.
+
+:func:`run`, the process entry (``python -m cyclokit.cli``, the ``cyclokit``
+script), freezes the import-time heap so that no collection walks it, not
+even the one at interpreter exit; :func:`main` leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -365,9 +370,9 @@ def _int_at_least(low: int):
 
 
 def main(args: list[str] | None = None, prog_name: str = "cyclokit") -> None:
-    """The ``cyclokit`` entry point: parses ``args`` (default:
-    ``sys.argv[1:]``), runs one command and prints its JSON report.  Returns
-    on success; every failure raises SystemExit with its documented code."""
+    """Parses ``args`` (default: ``sys.argv[1:]``), runs one command and
+    prints its JSON report; returns on success, and every failure raises
+    SystemExit with its code.  Never freezes the heap: see :func:`run`."""
     parser = argparse.ArgumentParser(prog=prog_name, description=(
         "Quadratic cyclotomic extensions: classification, moduli, verification."))
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -403,5 +408,11 @@ def main(args: list[str] | None = None, prog_name: str = "cyclokit") -> None:
         sys.exit(1)
 
 
+def run() -> None:
+    """The process entry: :func:`gc.freeze`, then :func:`main`."""
+    gc.freeze()
+    main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

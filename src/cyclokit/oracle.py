@@ -67,6 +67,9 @@ __all__ = [
 
 #: Hard ceiling on explicit field sizes p^k.
 MAX_FIELD_SIZE = 1 << 20
+#: Memo bounds: a command needs one field (F_(q^2)) and its Frobenius matrix, and
+#: under 256 root orders, since no number below 2^20 has more than 240 divisors.
+_FIELDS_KEPT, _ORDERS_KEPT = 4, 256
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -292,12 +295,12 @@ def _exceeds_bound(p: int, k: int) -> bool:
     return (p.bit_length() - 1) * k >= MAX_FIELD_SIZE.bit_length() or p**k > MAX_FIELD_SIZE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELDS_KEPT)
 def build_field(p: int, k: int) -> ExplicitField:
     """Build F_(p^k) on the smallest monic irreducible modulus of degree k.
 
-    Instances are immutable after construction and memoized: repeated calls
-    with the same arguments return the identical field object.
+    Instances are immutable after construction and memoized: while a field
+    is among the last few built, a repeated call returns the identical object.
     """
     if k < 1:
         raise ValueError(f"degree must be positive, got {k}")
@@ -316,7 +319,7 @@ def build_field(p: int, k: int) -> ExplicitField:
     raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORDERS_KEPT)
 def find_root_of_unity(E: ExplicitField, n: int) -> FFElement:
     """The deterministic primitive n-th root of unity: g^((q-1)/n), memoised."""
     if n < 1:
@@ -340,7 +343,7 @@ def evaluate_sum(E: ExplicitField, s: RootSum) -> FFElement:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELDS_KEPT)
 def _frobenius_matrix(E: ExplicitField, q: int) -> tuple[int, int]:
     """The matrix of x -> x^q minus the identity on E, packed so that one
     product applies it, and the mask of the slots that hold the result.
@@ -453,7 +456,7 @@ def _int_polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORDERS_KEPT)
 def _cyclotomic_tuple(n: int) -> tuple[int, ...]:
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1

@@ -65,6 +65,11 @@ class RootOfUnity(NamedTuple):
     def __str__(self) -> str:
         return render_root(self)
 
+    def __mul__(self, other):  # as a tuple, z * 2 and z + z would concatenate
+        raise TypeError("roots of unity compose by multiply() and power(), not + or *")
+
+    __rmul__ = __add__ = __radd__ = __mul__
+
 
 #: Builds a root from a pair already reduced, past the generated __new__.
 _new = tuple.__new__

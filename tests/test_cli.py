@@ -2,6 +2,7 @@
 size-bound environment override for each subcommand.
 """
 
+import gc
 import json
 import operator
 import os
@@ -851,6 +852,81 @@ def test_entry_point_on_path_runs():
         timeout=30,
     )
     assert_entry_point_report(proc)
+
+
+# ---------------------------------------------------------------------------
+# process entry
+# ---------------------------------------------------------------------------
+
+
+def run_python(args, cwd):
+    """``python *args`` against the package this suite imported."""
+    package_root = Path(cyclokit.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+
+
+def script_launcher():
+    """The launcher body an installer writes for the ``cyclokit`` script."""
+    with PYPROJECT.open("rb") as fh:
+        module, attr = pytest.importorskip("tomllib").load(fh)["project"]["scripts"][
+            "cyclokit"].split(":")
+    return f"from {module} import {attr}\nsys.argv[0] = 'cyclokit'\nsys.exit({attr}())\n"
+
+
+@pytest.mark.parametrize("launch", [
+    script_launcher,
+    # What ``python -m cyclokit.cli`` runs, behind the exit hook.
+    lambda: "import runpy\nrunpy.run_module('cyclokit.cli', run_name='__main__', alter_sys=True)\n",
+], ids=["console_script", "module"])
+def test_the_process_entry_freezes_the_heap(tmp_path, launch):
+    # An exit hook prints how many objects are frozen, once the command ran.
+    hook = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n")
+    proc = run_python(["-c", hook + launch(), "classify", "--field", "q:7"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "classify"
+    assert int(proc.stderr.split()[-1]) > 0
+
+
+def test_main_in_process_freezes_nothing(runner):
+    before = gc.get_freeze_count()
+    assert runner.invoke(main, ["classify", "--field", "q:7"]).exit_code == 0
+    assert gc.get_freeze_count() == before
+
+
+#: Makes every order disagree with the formula, for a mismatch exit.
+BROKEN_BRUTE_ORDER = "lambda p, k, n: n"
+
+
+@pytest.mark.parametrize("exit_code, args", [
+    (0, ["classify", "--field", "q:7"]),
+    (1, ["verify", "--field", "q:7"]),
+    (2, ["analyze", "--field", "q:7"]),
+    (3, ["verify", "--field", "Q"]),
+    (4, ["analyze", "--field", "q:7^99999999", "--n", "3"]),
+])
+def test_process_entry_prints_and_exits_as_main(runner, monkeypatch, tmp_path, exit_code, args):
+    # The exit-code contract at the process level: ``python -m cyclokit.cli``
+    # (for exit 1, a launcher that breaks the oracle's order and calls run)
+    # writes the same bytes and exits with the same code as main in process.
+    launcher = ["-m", "cyclokit.cli"]
+    if exit_code == 1:
+        launcher = ["-c", "import cyclokit.oracle as oracle\n"
+                          f"oracle.brute_order = {BROKEN_BRUTE_ORDER}\n"
+                          "from cyclokit import cli\ncli.run()\n"]
+        monkeypatch.setattr(oracle_mod, "brute_order", eval(BROKEN_BRUTE_ORDER))
+    expected = runner.invoke(main, args)
+    proc = run_python([*launcher, *args], tmp_path)
+    assert expected.exit_code == exit_code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        exit_code, expected.stdout, expected.stderr)
 
 
 #: Modules that ``import cyclokit.cli`` must not load, since each costs every

@@ -42,7 +42,7 @@ from cyclokit.oracle import (
     rational_min_poly,
 )
 
-from conftest import divisors, field_elements
+from conftest import divisors, field_elements, prime_powers
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +452,30 @@ def test_large_degree_verify_product_counts(field_spec, first_measured):
     count = _verify_product_count(field_spec)
     assert count <= _LARGE_DEGREE_PRODUCTS[field_spec] * 11 // 10
     assert count < first_measured
+
+
+def test_oracle_memos_stay_bounded_over_many_fields():
+    """`verify` on every prime power q <= 128 and on q = 881 (216 divisors of
+    q^2 - 1, the most of any q the oracle can check), in one process: each
+    oracle memo has its bound and holds no more, and a second run of a field
+    misses nothing, so no `verify` evicts its own entries.  Unbounded, the
+    memos kept every field of a sweep (all 198 q <= 1024: 12,946 roots)."""
+    from cyclokit.cli import main
+
+    memos = {build_field: oracle_mod._FIELDS_KEPT,
+             find_root_of_unity: oracle_mod._ORDERS_KEPT,
+             oracle_mod._frobenius_matrix: oracle_mod._FIELDS_KEPT,
+             oracle_mod._cyclotomic_tuple: oracle_mod._ORDERS_KEPT}
+    fields = [f"q:{p}^{k}" for p, k, _ in prime_powers(128)] + ["q:881"]
+    for field in fields:
+        main(["verify", "--field", field])  # exits 1 on any mismatch
+        misses = [memo.cache_info().misses for memo in memos]
+        main(["verify", "--field", field])
+        assert [memo.cache_info().misses for memo in memos] == misses, field
+        for memo, bound in memos.items():
+            info = memo.cache_info()
+            assert info.maxsize == bound and info.currsize <= bound, (field, memo)
+    assert build_field.cache_info().currsize == oracle_mod._FIELDS_KEPT < len(fields)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ against direct enumeration.
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyclokit
@@ -60,6 +61,15 @@ def test_power_frozen_values():
     assert power(canonical(8, 1), 4) == canonical(2, 1)
     assert power(canonical(9, 1), 3) == canonical(3, 1)
     assert power(canonical(5, 1), -1) == canonical(5, 4)
+
+
+@pytest.mark.parametrize("expression", [
+    lambda z: z * 2, lambda z: 2 * z, lambda z: z + z, lambda z: z * z, lambda z: (1,) + z,
+], ids=["root_times_int", "int_times_root", "root_plus_root", "root_times_root", "tuple_plus_root"])
+def test_tuple_operators_on_a_root_raise(expression):
+    # A root is a tuple, so these would concatenate or repeat it silently.
+    with pytest.raises(TypeError, match=r"multiply\(\) and power\(\)"):
+        expression(canonical(4, 1))
 
 
 def test_primitive_order_frozen_values():
