@@ -179,8 +179,8 @@ def _mismatches(n: int, rows) -> list[dict]:
 
 def _compare_min_poly(field: FieldProfile, poly: quadcyclo.QuadMinPoly,
                       values: tuple) -> tuple[tuple, list[tuple]]:
-    """The oracle's own (trace, norm) of the n-th root (from the cyclotomic
-    ring over the rationals, by the q-power map over a finite field), and the
+    """The oracle's own (trace, norm) of the n-th root (reduced mod Phi_n
+    over the rationals, by the q-power map over a finite field), and the
     min-poly rows: over a finite field the conjugation exponent against the
     q-power map, then the formula's realized coefficients ``values`` against
     the oracle's."""

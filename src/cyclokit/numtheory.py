@@ -104,6 +104,11 @@ class ResidueClass(_Residue):
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 
+    def __mul__(self, other):  # as a tuple, k * 2 and k + k would concatenate
+        raise TypeError("residue classes combine by .value arithmetic or crt(), not + or *")
+
+    __rmul__ = __add__ = __radd__ = __mul__
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test: the sieve below 8000, above it

@@ -3,16 +3,17 @@ arithmetic over the integers.
 
 This module uses none of the formula-based classification modules: orders are
 found from the group order q + 1 alone, minimal polynomials by applying the
-q-power map, and rational minimal polynomials by expanding products in an
-explicit quotient ring.  Its integer helpers are its own: trial division
-finds the primes of the small numbers it meets (q - 1, p and gcd(n, q + 1)
-below the field bound, the degree k), and the rational degree check counts
-units.  From ``roots`` it takes only the exponent-class types ``RootOfUnity``
-and ``RootSum``, which :func:`evaluate_sum` realizes.  No formula module
-imports it, so ``import cyclokit`` does not load it: only the CLI's
-``analyze`` and ``verify``, which realize concrete values and cross-check
-them, and the test suite do.  Agreement of the two layers is the point.
-It holds what the CLI and the benchmark realize or cross-check, and
+q-power map, and rational values by writing a sum of roots of unity as a
+polynomial in one primitive root and reducing it once modulo the cyclotomic
+polynomial.  Its integer helpers are its own: trial division finds the primes
+of the numbers it meets (q - 1, p and gcd(n, q + 1) below the field bound,
+the degree k, the order of a rational sum), and the rational degree check
+counts units.  From ``roots`` it takes only the exponent-class types
+``RootOfUnity`` and ``RootSum``, which :func:`evaluate_sum` realizes.  No
+formula module imports it, so ``import cyclokit`` does not load it: only the
+CLI's ``analyze`` and ``verify``, which realize concrete values and
+cross-check them, and the test suite do.  Agreement of the two layers is the
+point.  It holds what the CLI and the benchmark realize or cross-check, and
 :func:`brute_moduli`, the exhaustive moduli the tests check the moduli
 formulas against; the characteristic-2 orbit search, a reference of the tests
 alone, lives in the test suite.
@@ -50,7 +51,6 @@ from .roots import RootOfUnity, RootSum
 
 __all__ = [
     "MAX_FIELD_SIZE",
-    "CycloRing",
     "ExplicitField",
     "FFElement",
     "brute_min_poly",
@@ -68,13 +68,15 @@ __all__ = [
 #: Hard ceiling on explicit field sizes p^k.
 MAX_FIELD_SIZE = 1 << 20
 #: Memo bounds: a command needs one field (F_(q^2)) and its Frobenius matrix, and
-#: under 256 root orders, since no number below 2^20 has more than 240 divisors.
+#: :func:`find_root_of_unity` under 256 root orders, since no number below 2^20
+#: has more than 240 divisors.
 _FIELDS_KEPT, _ORDERS_KEPT = 4, 256
 
 
 def _prime_factors(m: int) -> list[int]:
     """The distinct primes dividing m, by trial division (none for m < 2).
-    Every caller passes a number below the field bound, so the loop is short."""
+    The field callers pass numbers below the field bound, so the loop is
+    short; the rational ones pass an order n, whose Phi_n costs far more."""
     primes = []
     d = 2
     while d * d <= m:
@@ -441,114 +443,48 @@ def brute_moduli(p: int, k: int) -> set[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _int_polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (monic divisor)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[: len(den) - 1]):  # pragma: no cover - sanity
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return out
-
-
-@lru_cache(maxsize=_ORDERS_KEPT)
-def _cyclotomic_tuple(n: int) -> tuple[int, ...]:
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = _cyclotomic_tuple(d)
-            new = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                for j, b in enumerate(phi_d):
-                    new[i + j] += a * b
-            den = new
-    return tuple(_int_polydiv_exact(num, den))
-
-
 def cyclotomic_poly(n: int) -> list[int]:
     """Coefficients (little-endian) of the n-th cyclotomic polynomial.
 
-    Computed by the recursive exact division of x^n - 1 by the product of the
-    cyclotomic polynomials of the proper divisors of n.
+    Phi_n is the product of (x^(n/m) - 1)^mu(m) over the squarefree divisors
+    m of n, and has degree phi(n), the sum of mu(m) * n/m.  Each binomial has
+    constant term -1, so it is a unit among power series truncated at that
+    degree, and multiplying or dividing by x^d - 1 is the same pass,
+    s[i] = s[i - d] - s[i]: downwards it reads the old s[i - d] and
+    multiplies, upwards the new one and divides.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    return list(_cyclotomic_tuple(n))
+    squarefree = [(1, 1)]  # (m, mu(m))
+    for r in _prime_factors(n):
+        squarefree += [(m * r, -mu) for m, mu in squarefree]
+    degree = sum(mu * n // m for m, mu in squarefree)
+    series = [1] + [0] * degree
+    for m, mu in squarefree:
+        d = n // m
+        for i in (range(degree, -1, -1) if mu > 0 else range(degree + 1)):
+            series[i] = (series[i - d] if i >= d else 0) - series[i]
+    return series
 
 
-class CycloRing:
-    """Exact arithmetic in integer polynomials modulo the n-th cyclotomic
-    polynomial: the ring Z[x]/Phi_n, generated over the integers by a
-    primitive n-th root of unity.  Phi_n is monic with integer coefficients,
-    so reduction never divides, and every integer combination of roots stays
-    integral.
-
-    Elements are little-endian tuples of ints of length phi(n).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.modulus = cyclotomic_poly(n)
-        self.degree = len(self.modulus) - 1
-
-    def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
-        for i in range(len(coeffs) - 1, self.degree - 1, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = 0
-                for j in range(self.degree):
-                    coeffs[i - self.degree + j] -= c * self.modulus[j]
-        coeffs = coeffs[: self.degree]
-        coeffs += [0] * (self.degree - len(coeffs))
-        return tuple(coeffs)
-
-    def constant(self, value: int) -> tuple[int, ...]:
-        return self._reduce([value])
-
-    def zeta_power(self, j: int) -> tuple[int, ...]:
-        """The class of x^j (the j-th power of the chosen primitive root)."""
-        j %= self.n
-        coeffs = [0] * (j + 1)
-        coeffs[j] = 1
-        return self._reduce(coeffs)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        prod = [0] * (2 * self.degree - 1) if self.degree > 0 else []
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduce(prod)
-
-    def scale(self, a, k: int):
-        return tuple(x * k for x in a)
-
-    def embed_root(self, z: RootOfUnity) -> tuple[int, ...]:
-        """The class of the exponent j/d, requiring d to divide n."""
-        if self.n % z.denominator != 0:
-            raise ValueError(
-                f"order {z.denominator} does not divide the ring order {self.n}"
-            )
-        return self.zeta_power(self.n // z.denominator * z.numerator)
-
-    def as_rational(self, a) -> int | None:
-        """The value as an int if it is a constant, else None."""
-        if any(a[1:]):
-            return None
-        return a[0]
+def _integer_value(terms, L: int) -> int | None:
+    """The sum of c * zeta_L^e over the (c, e) terms, as an int if it is
+    rational, else None.  The exponents are reduced mod L, and then the
+    polynomial once mod Phi_L.  Phi_L is monic with integer coefficients, so
+    the reduction never divides.  What remains is the value on the basis
+    1, zeta_L, ..., zeta_L^(phi(L) - 1), rational exactly when only its
+    constant term is nonzero."""
+    modulus = cyclotomic_poly(L)
+    degree = len(modulus) - 1
+    poly = [0] * L
+    for c, e in terms:
+        poly[e % L] += c
+    for i in range(L - 1, degree - 1, -1):
+        c = poly[i]
+        if c:
+            for j in range(degree):
+                poly[i - degree + j] -= c * modulus[j]
+    return None if any(poly[1:degree]) else poly[0]
 
 
 def evaluate_sum_rational(s: RootSum) -> int:
@@ -557,11 +493,8 @@ def evaluate_sum_rational(s: RootSum) -> int:
 
     Raises :class:`PreconditionError` if the value is irrational.
     """
-    ring = CycloRing(s.lcm_order())
-    total = ring.constant(0)
-    for coeff, root in s.terms():
-        total = ring.add(total, ring.scale(ring.embed_root(root), coeff))
-    value = ring.as_rational(total)
+    L = s.lcm_order()
+    value = _integer_value(((c, L // z.denominator * z.numerator) for c, z in s.terms()), L)
     if value is None:
         raise PreconditionError(f"sum {s} is not a rational number")
     return value
@@ -572,17 +505,16 @@ def rational_min_poly(n: int) -> tuple[int, int, int]:
     rationals, as ascending integer coefficients (c0, c1, 1).
 
     Only defined when the extension has degree 2 (phi(n) = 2, exactly two
-    units 1 and j below n; counting stops at a third).  Computed by expanding
-    (x - z)(x - z^j) in the explicit cyclotomic ring.
+    units 1 and j below n; counting stops at a third).  The conjugates are z
+    and z^j, so the trace is z + z^j and the norm the single root z^(1 + j),
+    each reduced mod Phi_n.
     """
     units = list(islice((j for j in range(1, n) if gcd(j, n) == 1), 3))
     if len(units) != 2:
         raise PreconditionError(f"degree over the rationals is phi({n}) != 2")
-    ring = CycloRing(n)
-    z1 = ring.zeta_power(1)
-    z2 = ring.zeta_power(units[1])
-    trace = ring.as_rational(ring.add(z1, z2))
-    norm = ring.as_rational(ring.mul(z1, z2))
+    j = units[1]
+    trace = _integer_value([(1, 1), (1, j)], n)
+    norm = _integer_value([(1, 1 + j)], n)
     if trace is None or norm is None:  # pragma: no cover - sanity
         raise ArithmeticError("trace/norm failed to be rational")
     return (norm, -trace, 1)

@@ -205,7 +205,8 @@ def test_analyze_exits_one_on_oracle_mismatch(runner, monkeypatch):
 
 def test_analyze_rational_checks_the_oracle_polynomial(runner, monkeypatch):
     # Over the rationals the realized coefficients are compared with the
-    # cyclotomic ring's polynomial: x^2 + 1 for n = 4, here made x^2 + x + 1.
+    # oracle's polynomial, reduced mod Phi_n: x^2 + 1 for n = 4, here made
+    # x^2 + x + 1.
     real = oracle_mod.rational_min_poly
     monkeypatch.setattr(
         oracle_mod, "rational_min_poly", lambda n: (1, 1, 1) if n == 4 else real(n)

@@ -21,8 +21,10 @@ from cyclokit import (
     eps,
     euler_phi,
     factorize,
+    finite_field,
     is_prime,
     mult_order,
+    yogh,
 )
 from cyclokit import numtheory
 
@@ -288,6 +290,22 @@ def test_crt_solution_reduces_to_inputs(pairs):
     assert sol.modulus == big
     for c in classes:
         assert sol.value % c.modulus == c.value
+
+
+@pytest.mark.parametrize("expression", [
+    lambda k: k * 2, lambda k: 2 * k, lambda k: k + k, lambda k: k * k, lambda k: (1,) + k,
+], ids=["class_times_int", "int_times_class", "class_plus_class", "class_times_class",
+        "tuple_plus_class"])
+def test_tuple_operators_on_a_residue_class_raise(expression):
+    # A residue class is a tuple, so these would concatenate or repeat it silently.
+    k = yogh(finite_field(23), 16)
+    assert k == ResidueClass(7, 16)
+    with pytest.raises(TypeError, match=r"\.value arithmetic or crt\(\)"):
+        expression(k)
+    # The tuple behaviour that crt, sorting and _replace rely on stays.
+    assert crt([k, (2, 3)]) == ResidueClass(23, 48)
+    assert sorted((k, ResidueClass(1, 16))) == [(1, 16), (7, 16)]
+    assert k._replace(value=3) == (3, 16)
 
 
 def test_crt_takes_plain_pairs_and_residue_classes_alike():

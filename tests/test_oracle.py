@@ -7,6 +7,7 @@ only rely on first principles: field axioms, the divisor product formula for
 cyclotomic polynomials, and direct expansion.
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -26,7 +27,6 @@ import cyclokit.oracle as oracle_mod
 from cyclokit import PreconditionError, SizeBoundError, euler_phi, factorize
 from cyclokit import RATIONAL, RootSum, canonical, multiply, power, radical_generator
 from cyclokit.oracle import (
-    CycloRing,
     MAX_FIELD_SIZE,
     _frobenius,
     _prime_factors,
@@ -145,6 +145,12 @@ def test_cyclotomic_poly_frozen_values():
     assert cyclotomic_poly(4) == [1, 0, 1]
     assert cyclotomic_poly(6) == [1, -1, 1]
     assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+    # 105 = 3 * 5 * 7, the least order with a coefficient outside {-1, 0, 1}:
+    # -2 at x^7 and x^41 (OEIS A013594).  385 = 5 * 7 * 11, the least with -3.
+    phi_105 = cyclotomic_poly(105)
+    assert [i for i, c in enumerate(phi_105) if c == -2] == [7, 41]
+    assert {c for i, c in enumerate(phi_105) if i not in (7, 41)} == {-1, 0, 1}
+    assert min(cyclotomic_poly(385)) == -3
 
 
 def _poly_mul(a, b):
@@ -255,27 +261,15 @@ def test_rational_min_poly_frozen_values():
         rational_min_poly(5)
 
 
-def test_cyclo_ring_arithmetic():
-    ring = CycloRing(12)
-    z = ring.zeta_power(1)
-    acc = ring.constant(1)
-    for _ in range(12):
-        acc = ring.mul(acc, z)
-    assert acc == ring.constant(1)
-    assert ring.zeta_power(13) == ring.zeta_power(1)
-    assert ring.zeta_power(12) == ring.constant(1)
-    # The class of zeta satisfies its cyclotomic polynomial: z^4 - z^2 + 1 = 0.
-    z4 = ring.mul(ring.mul(z, z), ring.mul(z, z))
-    z2 = ring.mul(z, z)
-    assert ring.add(ring.sub(z4, z2), ring.constant(1)) == ring.constant(0)
+def _mobius(n: int) -> int:
+    exponents = [e for _, e in factorize(n)]
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def _trace_to_q(z, L: int) -> int:
     """The trace from Q(zeta_L) to Q of the root z, whose order m divides L:
     phi(L)/phi(m) copies of the sum of the primitive m-th roots, mu(m)."""
-    exponents = [e for _, e in factorize(z.denominator)]
-    mobius = 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-    return euler_phi(L) // euler_phi(z.denominator) * mobius
+    return euler_phi(L) // euler_phi(z.denominator) * _mobius(z.denominator)
 
 
 def _rational_value(s: RootSum) -> Fraction | None:
@@ -291,9 +285,9 @@ def _rational_value(s: RootSum) -> Fraction | None:
 
 
 def test_integer_cyclotomic_ring_is_exact():
-    # CycloRing computes in Z[x]/Phi_L with int coefficients; every value it
-    # calls rational must be an int equal to the Fraction reference, and
-    # every other sum refused.
+    # A sum is reduced mod Phi_L with int coefficients; every value called
+    # rational must be an int equal to the Fraction reference, and every
+    # other sum refused.
     Q = RATIONAL
     roots = [canonical(n, j) for n in range(1, 13) for j in range(n) if gcd(j, n) == 1]
     sums = {radical_generator(Q, n).square for n in (3, 4, 6)} | {
@@ -312,6 +306,14 @@ def test_integer_cyclotomic_ring_is_exact():
             assert type(got) is int and got == want, s
             rational_count += 1
     assert 0 < rational_count < len(sums)
+
+
+def test_ramanujan_sums_are_the_mobius_function():
+    # The primitive n-th roots sum to mu(n): each sum is reduced mod Phi_L
+    # for orders L far above those of the test before.
+    for n in range(1, 401):
+        roots = [canonical(n, j) for j in range(n) if gcd(j, n) == 1]
+        assert evaluate_sum_rational(RootSum.of(*roots)) == _mobius(n), n
 
 
 def test_brute_moduli_frozen_counts():
@@ -464,8 +466,7 @@ def test_oracle_memos_stay_bounded_over_many_fields():
 
     memos = {build_field: oracle_mod._FIELDS_KEPT,
              find_root_of_unity: oracle_mod._ORDERS_KEPT,
-             oracle_mod._frobenius_matrix: oracle_mod._FIELDS_KEPT,
-             oracle_mod._cyclotomic_tuple: oracle_mod._ORDERS_KEPT}
+             oracle_mod._frobenius_matrix: oracle_mod._FIELDS_KEPT}
     fields = [f"q:{p}^{k}" for p, k, _ in prime_powers(128)] + ["q:881"]
     for field in fields:
         main(["verify", "--field", field])  # exits 1 on any mismatch
@@ -553,6 +554,29 @@ def test_oversized_fields_are_refused_before_computing_them():
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.stdout.split() == ["refused", "refused"], proc.stderr
+
+
+def test_the_oracle_imports_only_the_errors_and_the_root_types():
+    # The oracle checks the formula layer, so it shares none of its code: of
+    # the package it may import the error types, RootOfUnity and RootSum.
+    allowed = {"errors": None, "roots": {"RootOfUnity", "RootSum"}}
+    imported, foreign = set(), []
+    for node in ast.walk(ast.parse(Path(oracle_mod.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            foreign += [a.name for a in node.names if a.name.split(".")[0] == "cyclokit"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                package, _, module = node.module.partition(".")
+                if package != "cyclokit":
+                    continue  # the standard library
+            else:
+                module = node.module if node.level == 1 else None
+            names = {a.name for a in node.names}
+            if module not in allowed or not names <= (allowed[module] or names):
+                foreign.append(f"{module}: {sorted(names)}")
+            imported.add(module)
+    assert foreign == []
+    assert imported == set(allowed)
 
 
 def test_import_cyclokit_leaves_the_oracle_unloaded():
