@@ -4,13 +4,14 @@ Automorphisms of the n-th cyclotomic extension of any base field embed into
 the unit group (Z/n)* by their action z -> z^j on n-th roots of unity.  This
 module provides that unit group, the subgroup fixing a sub-extension, and the
 image subgroup realized over a given base field (trivial when the root
-already lies in the field, and {1, yogh} in the quadratic case).
+already lies in the field, and {1, yogh} in the quadratic case).  Each is a
+plain ascending tuple of :class:`ResidueClass` modulo n: its order is its
+``len``, and membership is tuple ``in``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
 
 from .errors import PreconditionError
 from .field_profile import FieldProfile
@@ -18,62 +19,28 @@ from .numtheory import ResidueClass
 from .quadcyclo import bounded_degree, yogh
 
 __all__ = [
-    "FixingSubgroup",
-    "UnitGroup",
     "fixing_subgroup",
     "galois_image",
     "unit_group",
 ]
 
 
-class UnitGroup(NamedTuple):
-    """The unit group (Z/n)* as an explicit ordered tuple of residues."""
-
-    modulus: int
-    elements: tuple[ResidueClass, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, item: ResidueClass) -> bool:
-        return item.modulus == self.modulus and item in self.elements
-
-
-class FixingSubgroup(NamedTuple):
-    """The subgroup of (Z/n)* of exponents acting trivially on m-th roots."""
-
-    modulus: int
-    fixed_order: int
-    elements: tuple[ResidueClass, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def unit_group(n: int) -> UnitGroup:
-    """The unit group modulo n (for n = 1, the trivial group {0 mod 1})."""
+def unit_group(n: int) -> tuple[ResidueClass, ...]:
+    """The unit group modulo n, ascending (for n = 1, the trivial group {0 mod 1})."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    elements = tuple(
-        ResidueClass(j, n) for j in range(n) if gcd(j, n) == 1
-    )
-    return UnitGroup(n, elements)
+    return tuple(ResidueClass(j, n) for j in range(n) if gcd(j, n) == 1)
 
 
-def fixing_subgroup(n: int, m: int) -> FixingSubgroup:
-    """Exponents j in (Z/n)* with z^j = z for every m-th root z (m | n).
+def fixing_subgroup(n: int, m: int) -> tuple[ResidueClass, ...]:
+    """Exponents j in (Z/n)* with z^j = z for every m-th root z (m | n), ascending.
 
     These are exactly the units congruent to 1 modulo m; they form the
     subgroup fixing the m-th cyclotomic sub-extension pointwise.
     """
     if n < 1 or m < 1 or n % m != 0:
         raise ValueError(f"m must be a positive divisor of n, got n={n} m={m}")
-    elements = tuple(
-        j for j in unit_group(n).elements if j.value % m == 1 % m
-    )
-    return FixingSubgroup(n, m, elements)
+    return tuple(j for j in unit_group(n) if j.value % m == 1 % m)
 
 
 def galois_image(field: FieldProfile, n: int) -> tuple[ResidueClass, ...]:

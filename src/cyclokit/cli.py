@@ -166,7 +166,7 @@ def _s_max_json(partition: moduli_mod.SMaxPartition) -> dict:
 def _value_json(value):
     """A realized value for a JSON report: an integer as a string, a field
     element by its coordinates."""
-    return str(value) if isinstance(value, int) else value.value_repr()
+    return str(value) if isinstance(value, int) else list(value.coeffs)
 
 
 def _mismatches(n: int, rows) -> list[dict]:

@@ -101,6 +101,8 @@ class ResidueClass(_Residue):
             raise ValueError(f"modulus must be positive, got {modulus}")
         return tuple.__new__(cls, (value % modulus, modulus))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it too
+
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 

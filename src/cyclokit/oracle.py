@@ -162,10 +162,6 @@ class FFElement:
             value = value * self.field.p + c
         return value
 
-    def value_repr(self) -> int | list[int]:
-        """JSON-friendly value: an int for prime fields, else the vector."""
-        return self.value if self.field.k == 1 else list(self.coeffs)
-
     def __repr__(self):
         return f"FF({self.field.p}^{self.field.k}:{list(self.coeffs)})"
 
@@ -422,8 +418,6 @@ def brute_moduli(p: int, k: int) -> set[tuple[int, int]]:
     keeps those not fixed by the q-power map.  The pair (n, j) identifies the
     element zeta_n^j under the deterministic embedding.
     """
-    if _exceeds_bound(p, 2 * k):
-        raise SizeBoundError(f"field size ({p}^{k})^2 exceeds the bound {MAX_FIELD_SIZE}")
     E2 = build_field(p, 2 * k)
     g = E2.generator.value
     (rows, mids), mul, slotmod = _frobenius_matrix(E2, p**k), E2._mul, E2._slotmod

@@ -5,7 +5,7 @@ Central objects, for a base field F and a primitive n-th root of unity z
 (characteristic coprime to n):
 
 * ``bounded_degree`` — the degree of F(z) over F, collapsed to 1, 2, or 3
-  (">2") and read off |mu(F)| and q^2 - 1 by remainders, and
+  (">2") and read off |mu(F)| and each |mu(K)| by remainders, and
   ``is_quadratic``, whether that degree is 2;
 * ``yogh`` — the conjugation exponent: the unique k mod n, coprime to n,
   such that z + z^k and z^(k+1) both lie in F.  Equivalently, the nontrivial
@@ -104,14 +104,16 @@ def is_quadratic(field: FieldProfile, n: int) -> bool:
 
 def bounded_degree(field: FieldProfile, n: int) -> int:
     """The degree of F(z_n)/F collapsed to 1, 2, or 3 (">2"), without
-    factoring n: 1 when n divides |mu(F)|; 2 when n divides q^2 - 1 over
-    F_q, or over Q when phi(n) = 2, i.e. n in {3, 4, 6}; else 3."""
+    factoring n: 1 when n divides |mu(F)|; 2 when n divides |mu(K)| for a
+    quadratic cyclotomic extension K (q^2 - 1 over F_q; 4 or 6 over Q, so
+    n in {3, 4, 6}); else 3."""
     _check_coprime_to_char(field, n)
     if field.roots_of_unity % n == 0:
         return 1
-    if field.is_rational:
-        return 2 if n in (3, 4, 6) else 3
-    return 2 if field.quadratic_extensions[0][0] % n == 0 else 3
+    for big, _ in field.quadratic_extensions:
+        if big % n == 0:
+            return 2
+    return 3
 
 
 def _components(field: FieldProfile, n: int) -> tuple[int, int, int, int, int]:
@@ -177,36 +179,22 @@ class TraceShape(NamedTuple):
     """Structured display form of a quadratic trace: u * (v +- 1/v).
 
     ``unit_index`` and ``cos_index`` are the orders of the unit factor
-    u and the oscillating factor v (taken as canonical exponent classes);
-    ``sign`` picks v + 1/v or v - 1/v, and ``norm_sign`` the sign of the
-    norm u^2.  The product w = u*v is a primitive root of the full order,
-    and the expansion equals exactly the conjugate-pair sum w + w^yogh
-    (a Galois translate of the canonical root's pair, not necessarily the
-    same pair).
+    u and the oscillating factor v (taken as canonical exponent classes),
+    and ``sign`` picks v + 1/v or v - 1/v.  The product w = u*v is a
+    primitive root of the full order, and u*v + sign * u/v equals exactly
+    the conjugate-pair sum w + w^yogh (a Galois translate of the canonical
+    root's pair, not necessarily the same pair).
     """
 
     unit_index: int
     cos_index: int
     sign: int
-    norm_sign: int
 
     def unit_root(self) -> RootOfUnity:
         return canonical(self.unit_index, 1)
 
     def cos_root(self) -> RootOfUnity:
         return canonical(self.cos_index, 1)
-
-    def expansion(self) -> RootSum:
-        """The trace u*v + sign * u/v as a formal sum."""
-        u, v = self.unit_root(), self.cos_root()
-        return RootSum.from_terms(
-            [(1, multiply(u, v)), (self.sign, multiply(u, power(v, -1)))]
-        )
-
-    def norm_expansion(self) -> RootSum:
-        """The norm norm_sign * u^2 as a formal sum."""
-        u = self.unit_root()
-        return RootSum.from_terms([(self.norm_sign, power(u, 2))])
 
     def render(self) -> str:
         op = "+" if self.sign > 0 else "-"
@@ -236,10 +224,10 @@ class QuadMinPoly(NamedTuple):
 
 
 _SHAPES = {
-    CASE_ODD: (1, 1, 1, 1),
-    CASE_TWO_LOW: (2, 1, -1, -1),
-    CASE_TWO_HIGH_PLUS: (1, 2, 1, 1),
-    CASE_TWO_HIGH_MINUS: (1, 2, -1, -1),
+    CASE_ODD: (1, 1, 1),
+    CASE_TWO_LOW: (2, 1, -1),
+    CASE_TWO_HIGH_PLUS: (1, 2, 1),
+    CASE_TWO_HIGH_MINUS: (1, 2, -1),
 }
 
 
@@ -277,8 +265,8 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
         tag = CASE_TWO_HIGH_MINUS
     shape: TraceShape | None = None
     if tag != CASE_RADICAL:
-        unit_mult, cos_mult, sign, norm_sign = _SHAPES[tag]
-        shape = TraceShape(unit_mult * (n // o), cos_mult * o, sign, norm_sign)
+        unit_mult, cos_mult, sign = _SHAPES[tag]
+        shape = TraceShape(unit_mult * (n // o), cos_mult * o, sign)
     trace = RootSum.of(z, power(z, k.value))
     return QuadMinPoly(n, tag, k, trace, RootSum.of(norm), shape)
 

@@ -157,10 +157,6 @@ class RootSum:
         return cls(acc)
 
     @classmethod
-    def zero(cls) -> "RootSum":
-        return cls({})
-
-    @classmethod
     def of(cls, *roots: RootOfUnity) -> "RootSum":
         """The sum of the given roots, each with coefficient +1."""
         return cls.from_terms([(1, r) for r in roots])
@@ -184,12 +180,6 @@ class RootSum:
 
     def __sub__(self, other: "RootSum") -> "RootSum":
         return self + (-other)
-
-    def scale(self, k: int) -> "RootSum":
-        """The sum multiplied by the integer k."""
-        if k == 0:
-            return RootSum.zero()
-        return RootSum({r: k * c for r, c in self._terms.items()})
 
     def map_exponent(self, m: int) -> "RootSum":
         """Apply the exponent map z -> z^m to every term.

@@ -249,7 +249,7 @@ def test_criterion_7_fixing_subgroup_size_and_galois_containment():
     failures = []
     for n in range(1, 201):
         for m in divisors(n):
-            got = len(fixing_subgroup(n, m).elements)
+            got = len(fixing_subgroup(n, m))
             want = euler_phi(n) // euler_phi(m)
             if got != want:
                 failures.append(f"|U_{n}({m})| = {got}, want {want}")
@@ -261,7 +261,7 @@ def test_criterion_7_fixing_subgroup_size_and_galois_containment():
             if not is_quadratic(field, n):
                 continue
             image = {j.value for j in galois_image(field, n)}
-            subgroup = {j.value for j in fixing_subgroup(n, n_F(field, n)).elements}
+            subgroup = {j.value for j in fixing_subgroup(n, n_F(field, n))}
             if not image <= subgroup:
                 failures.append(f"Galois image not inside U_{n}(n_F) over {field}")
     _verdict(7, "|U_n(m)| = phi(n)/phi(m) for n <= 200; Galois image contained", failures)

@@ -32,22 +32,22 @@ F23 = finite_field(23)
 
 
 def test_unit_group_frozen_values():
-    assert [j.value for j in unit_group(12).elements] == [1, 5, 7, 11]
-    assert [j.value for j in unit_group(8).elements] == [1, 3, 5, 7]
-    assert unit_group(1).elements == (ResidueClass(0, 1),)
+    assert [j.value for j in unit_group(12)] == [1, 5, 7, 11]
+    assert [j.value for j in unit_group(8)] == [1, 3, 5, 7]
+    assert unit_group(1) == (ResidueClass(0, 1),)
 
 
 def test_unit_group_order_is_phi():
     for n in range(1, 201):
         g = unit_group(n)
-        assert g.order == euler_phi(n)
-        assert g.modulus == n
+        assert len(g) == euler_phi(n)
+        assert {j.modulus for j in g} == {n}
 
 
 def test_unit_group_closed_under_multiplication():
     for n in (1, 2, 8, 12, 15, 16, 24, 36):
         g = unit_group(n)
-        elems = {j.value for j in g.elements}
+        elems = {j.value for j in g}
         for a in elems:
             for b in elems:
                 assert (a * b) % n in elems or n == 1
@@ -65,10 +65,10 @@ def test_unit_group_membership():
 
 
 def test_fixing_subgroup_frozen_values():
-    assert [j.value for j in fixing_subgroup(12, 4).elements] == [1, 5]
-    assert fixing_subgroup(8, 8).elements == (ResidueClass(1, 8),)
+    assert [j.value for j in fixing_subgroup(12, 4)] == [1, 5]
+    assert fixing_subgroup(8, 8) == (ResidueClass(1, 8),)
     for n in (1, 6, 12, 15):
-        assert fixing_subgroup(n, 1).elements == unit_group(n).elements
+        assert fixing_subgroup(n, 1) == unit_group(n)
 
 
 def test_fixing_subgroup_requires_divisor():
@@ -80,15 +80,13 @@ def test_fixing_subgroup_cardinality_formula():
     # |U_n(m)| = phi(n)/phi(m) for every m | n, n <= 200.
     for n in range(1, 201):
         for m in divisors(n):
-            sub = fixing_subgroup(n, m)
-            assert len(sub.elements) == euler_phi(n) // euler_phi(m)
-            assert sub.fixed_order == m
+            assert len(fixing_subgroup(n, m)) == euler_phi(n) // euler_phi(m)
 
 
 def test_fixing_subgroup_is_a_subgroup():
     for n in (8, 12, 16, 24, 60):
         for m in divisors(n):
-            elems = {j.value for j in fixing_subgroup(n, m).elements}
+            elems = {j.value for j in fixing_subgroup(n, m)}
             assert 1 % n in elems or (n == 1 and 0 in elems)
             for a in elems:
                 for b in elems:
@@ -101,15 +99,26 @@ def test_reduction_map_is_surjective_with_fixing_kernel():
     # exactly U_n(m).
     for n in range(1, 201):
         for m in divisors(n):
-            image = {j.value % m for j in unit_group(n).elements}
-            assert image == {j.value for j in unit_group(m).elements}
-            kernel = {j.value for j in unit_group(n).elements if j.value % m == 1 % m}
-            assert kernel == {j.value for j in fixing_subgroup(n, m).elements}
+            image = {j.value % m for j in unit_group(n)}
+            assert image == {j.value for j in unit_group(m)}
+            kernel = {j.value for j in unit_group(n) if j.value % m == 1 % m}
+            assert kernel == {j.value for j in fixing_subgroup(n, m)}
 
 
 # ---------------------------------------------------------------------------
 # galois_image
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, n", [(Q, 1), (Q, 3), (Q, 4), (Q, 6), (F5, 4), (F5, 8),
+                                      (F5, 24), (F23, 16), (F23, 48), (F23, 528)])
+def test_every_subgroup_of_the_units_is_an_ascending_tuple_of_residues(field, n):
+    assert len(unit_group(n)) == euler_phi(n)
+    groups = [unit_group(n), galois_image(field, n)]
+    groups += [fixing_subgroup(n, m) for m in divisors(n)]
+    for group in groups:
+        assert type(group) is tuple and list(group) == sorted(group)
+        assert all(type(j) is ResidueClass and j.modulus == n for j in group)
 
 
 def test_galois_image_frozen_values():
@@ -142,7 +151,7 @@ def test_galois_image_contained_in_fixing_subgroup():
             else:
                 img = galois_image(field, n)
             nf = n_F(field, n)
-            allowed = {j.value for j in fixing_subgroup(n, nf).elements}
+            allowed = {j.value for j in fixing_subgroup(n, nf)}
             assert {j.value for j in img} <= allowed
             quota = euler_phi(n) // euler_phi(nf)
             assert quota % len(img) == 0

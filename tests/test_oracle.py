@@ -202,11 +202,11 @@ def test_embed_root_is_a_homomorphism():
 
 def test_evaluate_sum_is_linear():
     E = build_field(23, 2)
-    s = RootSum.of(canonical(16, 1)) - RootSum.of(canonical(16, 3)).scale(2)
+    s = RootSum.of(canonical(16, 1)) - RootSum.from_terms([(2, canonical(16, 3))])
     got = evaluate_sum(E, s)
     want = embed_root(E, canonical(16, 1)) - embed_root(E, canonical(16, 3)) * 2
     assert got == want
-    assert evaluate_sum(E, RootSum.zero()).is_zero
+    assert evaluate_sum(E, RootSum()).is_zero
 
 
 # ---------------------------------------------------------------------------

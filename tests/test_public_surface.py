@@ -1,4 +1,5 @@
-"""Every public name of a submodule is used by the program or the benchmark.
+"""Every public name of a submodule, and every public member of its public
+classes, is used by the program or the benchmark.
 
 A name in a submodule's ``__all__`` that no file under ``src/cyclokit`` and no
 ``bench/*.py`` file loads, outside its own definition, is surface that only
@@ -10,6 +11,15 @@ name of module M counts as used only where it is loaded bare after an import
 from M or from the ``cyclokit`` package, as ``M.name`` or ``ck.name`` through
 a module or package binding, or bare inside M itself.  A value type's field
 spelled like a function, read as ``desc.cardinality``, does not count.
+
+The same holds one level down.  Every method, property, classmethod or class
+attribute defined in the body of a public class, unless its name starts with
+an underscore, must be read as ``.name`` somewhere in those sources outside
+its own definition, or be listed in ``KEPT_MEMBERS`` with its claim.
+NamedTuple fields are exempt: they are the value itself.  Members are matched
+by name alone, without their owner, since the type of ``x`` in ``x.name`` is
+not known from the source: a read of any ``.order`` keeps every public member
+called ``order``.
 """
 
 import ast
@@ -28,6 +38,14 @@ KEPT = {
     "moduli.chi_as": "the embedding into Artin-Schreier classes, acceptance criterion 8",
     "oracle.brute_moduli": "the scan of K* that the moduli exponents nu and ell are checked on",
     "roots.contains": "membership in a moduli presentation, a route of acceptance criterion 5",
+}
+
+
+#: Class members that no code reads, kept for the paper claim a test checks.
+KEPT_MEMBERS = {
+    f"moduli.{cls}.is_trivial":
+        "the embeddings land in a nontrivial class, acceptance criterion 8"
+    for cls in ("RationalSquareClass", "FiniteSquareClass", "ArtinSchreierClass")
 }
 
 
@@ -96,9 +114,65 @@ def unused() -> set[str]:
             if not {name, f"{PACKAGE.name}.{name.split('.')[1]}"} & loaded}
 
 
+def public_members() -> dict[str, tuple[str, ...]]:
+    """``module.Class.member`` for every public member of every class in a
+    submodule's ``__all__``, mapped to the scope of its definition."""
+    public = public_names()
+    members = {}
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.parse(path.read_text()).body:
+            if not (isinstance(cls, ast.ClassDef) and f"{path.stem}.{cls.name}" in public):
+                continue
+            named_tuple = any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [getattr(target, "id", "_") for target in node.targets]
+                elif isinstance(node, ast.AnnAssign) and not named_tuple:
+                    names = [getattr(node.target, "id", "_")]
+                else:
+                    names = []
+                for name in names:
+                    if not name.startswith("_"):
+                        members[f"{path.stem}.{cls.name}.{name}"] = (str(path), cls.name, name)
+    return members
+
+
+def attribute_reads() -> dict[str, list[tuple[str, ...]]]:
+    """For every ``.name`` the sources load, the scopes it is loaded in: the
+    file, then the classes and functions enclosing the read."""
+    reads: dict[str, list[tuple[str, ...]]] = {}
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.setdefault(child.attr, []).append(scope)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), (str(path),))
+    return reads
+
+
+def unread_members() -> set[str]:
+    reads = attribute_reads()
+    return {key for key, home in public_members().items()
+            if all(scope[:3] == home for scope in reads.get(home[2], []))}
+
+
 def test_every_public_name_is_used_or_kept_for_a_claim():
     assert sorted(unused() - KEPT.keys()) == []
 
 
 def test_every_kept_name_is_public_and_otherwise_unused():
     assert sorted(KEPT.keys() - unused()) == []
+
+
+def test_every_public_member_is_read_or_kept_for_a_claim():
+    assert sorted(unread_members() - KEPT_MEMBERS.keys()) == []
+
+
+def test_every_kept_member_is_public_and_otherwise_unread():
+    assert sorted(KEPT_MEMBERS.keys() - unread_members()) == []

@@ -308,17 +308,17 @@ def test_min_poly_concrete_matches_oracle():
 
 def test_min_poly_trace_shape_expands_to_the_polynomial():
     # The display shape w = unit * cos describes the same polynomial applied
-    # to a (possibly different) primitive n-th root w: its expansion must be
-    # the conjugate-pair sum of w itself.
+    # to a (possibly different) primitive n-th root w: its expansion
+    # u*v + sign * u/v must be the conjugate-pair sum of w itself.
     for field, q, n in quadratic_cases(31):
         mp = min_poly(field, n)
         if mp.shape is None:
             assert mp.case_tag == CASE_RADICAL
             continue
-        w = multiply(mp.shape.unit_root(), mp.shape.cos_root())
-        k = mp.yogh.value
-        assert mp.shape.expansion() == RootSum.of(w) + RootSum.of(power(w, k))
-        assert mp.shape.norm_expansion() == RootSum.of(power(w, k + 1))
+        u, v = mp.shape.unit_root(), mp.shape.cos_root()
+        w = multiply(u, v)
+        expansion = RootSum.from_terms([(1, w), (mp.shape.sign, multiply(u, power(v, -1)))])
+        assert expansion == RootSum.of(w) + RootSum.of(power(w, mp.yogh.value))
 
 
 def test_min_poly_odd_prime_power_parts():

@@ -284,14 +284,14 @@ def test_root_sum_sign_normalization():
 def test_root_sum_cancellation():
     z = canonical(12, 5)
     assert (RootSum.of(z) - RootSum.of(z)).is_zero
-    assert RootSum.zero().is_zero
-    assert str(RootSum.zero()) == "0"
+    assert RootSum().is_zero
+    assert str(RootSum()) == "0"
 
 
 def test_root_sum_map_exponent_is_additive_on_terms():
-    s = RootSum.of(canonical(16, 1)) + RootSum.of(canonical(16, 7)).scale(3)
+    s = RootSum.of(canonical(16, 1)) + RootSum.from_terms([(3, canonical(16, 7))])
     t = s.map_exponent(5)
-    want = RootSum.of(canonical(16, 5)) + RootSum.of(canonical(16, 35)).scale(3)
+    want = RootSum.of(canonical(16, 5)) + RootSum.from_terms([(3, canonical(16, 35))])
     assert t == want
 
 

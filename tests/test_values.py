@@ -18,7 +18,6 @@ import pytest
 
 import cyclokit
 
-from cyclokit.automorphisms import FixingSubgroup, UnitGroup
 from cyclokit.field_profile import RATIONAL, ExtendedNat, FieldProfile, ell, finite_field
 from cyclokit.moduli import (
     ArtinSchreierClass,
@@ -53,7 +52,7 @@ from cyclokit.roots import (
 Z4 = canonical(4, 1)
 Z3 = canonical(3, 1)
 SUM = RootSum.of(Z3, canonical(3, 2))
-SHAPE = TraceShape(2, 16, -1, -1)
+SHAPE = TraceShape(2, 16, -1)
 RC = ResidueClass(7, 16)
 DIFF = Difference(Mu(4), Mu(2))
 MCLASS = ModuliClass((2,), 4, "x^2 + 1")
@@ -72,13 +71,13 @@ CASES = [
      ((Mu(3), PrimSet(4)),), "parts"),
     (ResidueClass(-1, 5), "ResidueClass(value=4, modulus=5)", (4, 5), "value"),
     (FieldProfile(2, 4), "FieldProfile(p=2, k=4)", (2, 4), "p"),
-    (SHAPE, "TraceShape(unit_index=2, cos_index=16, sign=-1, norm_sign=-1)",
-     (2, 16, -1, -1), "sign"),
+    (SHAPE, "TraceShape(unit_index=2, cos_index=16, sign=-1)",
+     (2, 16, -1), "sign"),
     (QuadMinPoly(16, "TwoHighMinus", RC, SUM, RootSum.of(Z4), SHAPE),
      "QuadMinPoly(n=16, case_tag='TwoHighMinus', yogh=ResidueClass(value=7,"
      " modulus=16), trace_coeff=RootSum(z(3,1) + z(3,2)),"
      " norm_coeff=RootSum(z(4,1)), shape=TraceShape(unit_index=2, cos_index=16,"
-     " sign=-1, norm_sign=-1))",
+     " sign=-1))",
      (16, "TwoHighMinus", RC, SUM, RootSum.of(Z4), SHAPE), "yogh"),
     (RadicalGenerator(SUM, RootSum.of(Z4)),
      "RadicalGenerator(expression=RootSum(z(3,1) + z(3,2)),"
@@ -110,14 +109,6 @@ CASES = [
     (FiniteSquareClass(False), "FiniteSquareClass(is_residue=False)", (False,),
      "is_residue"),
     (ArtinSchreierClass(1), "ArtinSchreierClass(trace_bit=1)", (1,), "trace_bit"),
-    (UnitGroup(4, (ResidueClass(1, 4), ResidueClass(3, 4))),
-     "UnitGroup(modulus=4, elements=(ResidueClass(value=1, modulus=4),"
-     " ResidueClass(value=3, modulus=4)))",
-     (4, (ResidueClass(1, 4), ResidueClass(3, 4))), "elements"),
-    (FixingSubgroup(8, 4, (ResidueClass(1, 8), ResidueClass(5, 8))),
-     "FixingSubgroup(modulus=8, fixed_order=4, elements=(ResidueClass(value=1,"
-     " modulus=8), ResidueClass(value=5, modulus=8)))",
-     (8, 4, (ResidueClass(1, 8), ResidueClass(5, 8))), "fixed_order"),
 ]
 
 
@@ -129,6 +120,20 @@ def test_value_repr_hash_and_immutability(value, text, fields, name):
     assert value == type(value)(*fields)
     with pytest.raises(AttributeError):
         setattr(value, name, fields[0])
+
+
+@pytest.mark.parametrize("value, text, fields, name", CASES,
+                         ids=[type(case[0]).__name__ for case in CASES])
+def test_make_and_replace_rebuild_through_the_constructor(value, text, fields, name):
+    assert type(value)._make(tuple(value)) == value
+    assert value._replace(**{name: getattr(value, name)}) == value
+
+
+def test_residue_class_replace_normalises_and_refuses_bad_moduli():
+    assert ResidueClass(7, 16)._replace(value=23) == ResidueClass(23, 16)
+    assert ResidueClass._make((23, 16)) == ResidueClass(7, 16)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        ResidueClass(7, 16)._replace(modulus=0)
 
 
 def test_extended_nat_hash_immutability_and_repr_shape():
