@@ -19,15 +19,7 @@ imports the brute-force oracle, and only ``analyze`` and ``verify`` import
 it, when they run: ``classify`` and ``moduli`` never load it.
 :func:`_realizer` picks once per field how a formal sum becomes a value (an
 exact integer over the rationals, an element of the oracle's F_(q^2) within
-its field bound, nothing above it).  Each cross-check is a row (check,
-formula side, oracle side): ``verify`` runs ``order``, ``quadratic`` and
-``order_two`` for every n, then for quadratic n the min-poly rows of
-:func:`_compare_min_poly` (``yogh_frobenius`` over F_q, ``min_poly_concrete``),
-which are all that ``analyze`` runs for its n.  :func:`_mismatches` builds the
-record of every row whose two sides differ.  Two other records carry a
-``detail`` message: ``equaliser``, of ``m2_membership``'s disagreeing routes,
-and ``precondition``, in place of n's remaining rows when a formula raises
-:class:`PreconditionError` for a divisor n of q^2 - 1 inside ``verify``.
+its field bound, nothing above it).
 
 Each command returns a :class:`Report`; :func:`main` prints it and holds the
 one mapping from failures to exit codes: 0 success, 1 verification
@@ -170,31 +162,61 @@ def _value_json(value):
 
 
 def _mismatches(n: int, rows) -> list[dict]:
-    """The mismatch record of each cross-check row of n whose two sides
-    differ.  A row is ``(check, formula side, oracle side)``, optionally
-    followed by a dict of further keys for its record."""
-    return [{"n": n, "check": check, "formula": formula, "oracle": oracle, **dict(*extra)}
-            for check, formula, oracle, *extra in rows if formula != oracle]
+    """The records of n's failing cross-check rows, in order: see :func:`_rows`."""
+    return [{"n": n, "check": check, **keys} for check, keys in rows
+            if "detail" in keys or keys["formula"] != keys["oracle"]]
 
 
 def _compare_min_poly(field: FieldProfile, poly: quadcyclo.QuadMinPoly,
                       values: tuple) -> tuple[tuple, list[tuple]]:
-    """The oracle's own (trace, norm) of the n-th root (reduced mod Phi_n
-    over the rationals, by the q-power map over a finite field), and the
-    min-poly rows: over a finite field the conjugation exponent against the
-    q-power map, then the formula's realized coefficients ``values`` against
-    the oracle's."""
+    """The oracle's (trace, norm) of the n-th root (reduced mod Phi_n over the
+    rationals, by the q-power map over F_q) and the min-poly rows: over F_q the
+    conjugation exponent against that map, then ``values`` against the oracle's."""
     from . import oracle
     n, rows = poly.n, []
     if field.is_rational:
         c0, c1, _ = oracle.rational_min_poly(n)
         truth = (-c1, c0)
     else:
-        rows.append(("yogh_frobenius", poly.yogh.value, field.q % n))
+        rows.append(("yogh_frobenius", {"formula": poly.yogh.value,
+                                        "oracle": field.q % n}))
         truth = oracle.brute_min_poly(field.p, field.k, n)
-    rows.append(("min_poly_concrete", [*map(_value_json, values)],
-                 [*map(_value_json, truth)]))
+    rows.append(("min_poly_concrete", {"formula": [*map(_value_json, values)],
+                                       "oracle": [*map(_value_json, truth)]}))
     return truth, rows
+
+
+def _rows(field: FieldProfile, realize: Callable[[RootSum], object], n: int):
+    """Every cross-check row ``(check, keys)`` of n, a divisor of q^2 - 1 over
+    a finite field, in order; its record is ``{"n", "check", **keys}``.  Rows
+    with keys ``{"formula", "oracle", ...}`` fail when those two sides differ:
+    ``order``, ``quadratic`` (``equaliser`` is ``m2_membership``'s verdict),
+    ``order_two``, then for quadratic n the rows of :func:`_compare_min_poly`,
+    all that ``analyze`` runs.  Rows ``{"detail"}`` always fail: ``equaliser``,
+    second, when ``m2_membership``'s routes disagree, and ``precondition``,
+    last, when a formula refuses n: n is prime to p, so every precondition holds."""
+    from . import oracle
+    try:
+        z = canonical(n, 1)
+        order = oracle.brute_order(field.p, field.k, n)
+        yield "order", {"formula": order_of_zeta(field, n), "oracle": order}
+        quadratic = quadcyclo.is_quadratic(field, n)
+        try:
+            membership = moduli_mod.m2_membership(field, z)
+        except RuntimeError as exc:
+            yield "equaliser", {"detail": str(exc)}
+            membership = quadratic
+        # zeta_n lies in F_(q^2), so its degree is 2 iff it is not in F_q.
+        yield "quadratic", {"formula": quadratic, "oracle": order != 1,
+                            "equaliser": membership}
+        yield "order_two", {"formula": moduli_mod.g2_membership(field, z),
+                            "oracle": order == 2}
+        if quadratic:
+            poly = quadcyclo.min_poly(field, n)
+            values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
+            yield from _compare_min_poly(field, poly, values)[1]
+    except PreconditionError as exc:
+        yield "precondition", {"detail": str(exc)}
 
 
 def _generator_json(
@@ -306,30 +328,8 @@ def verify(field_spec: str, max_n: int | None) -> Report:
             f"quadratic extension size {field.q}^2 exceeds {oracle.MAX_FIELD_SIZE}")
     bound = field.q**2 - 1 if max_n is None else max_n
     divisors = [n for n in _divisors(field) if n <= bound]
-    mismatches: list[dict] = []
-    for n in divisors:
-        # n divides q^2 - 1 and is coprime to p, so every precondition holds:
-        # a formula that refuses n disagrees with the oracle.
-        try:
-            z = canonical(n, 1)
-            order = oracle.brute_order(field.p, field.k, n)
-            mismatches += _mismatches(n, [("order", order_of_zeta(field, n), order)])
-            quadratic = quadcyclo.is_quadratic(field, n)
-            try:
-                membership = moduli_mod.m2_membership(field, z)
-            except RuntimeError as exc:
-                mismatches.append({"n": n, "check": "equaliser", "detail": str(exc)})
-                membership = quadratic
-            # zeta_n lies in F_(q^2), so its degree is 2 iff it is not in F_q.
-            mismatches += _mismatches(n, [
-                ("quadratic", quadratic, order != 1, {"equaliser": membership}),
-                ("order_two", moduli_mod.g2_membership(field, z), order == 2)])
-            if quadratic:
-                poly = quadcyclo.min_poly(field, n)
-                values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
-                mismatches += _mismatches(n, _compare_min_poly(field, poly, values)[1])
-        except PreconditionError as exc:
-            mismatches.append({"n": n, "check": "precondition", "detail": str(exc)})
+    mismatches = [record for n in divisors
+                  for record in _mismatches(n, _rows(field, realize, n))]
     results = {"max_n": bound, "orders_checked": len(divisors)}
     return Report("verify", render_field(field), results, True, mismatches)
 

@@ -17,7 +17,7 @@ The module also provides:
   characteristic is coprime to the orders involved.
 * Finite set expressions over roots of unity (:data:`MuSubset`): full groups
   ``Mu(n)``, primitive layers ``PrimSet(n)``, internal (pointwise) products,
-  differences, and unions, each with a membership test and an enumerator.
+  differences, and unions, each with a membership test.
 * The textual form ``z(n,j)``, in which the CLI prints roots.
 
 Values here and in the other formula modules are :class:`typing.NamedTuple`
@@ -258,11 +258,6 @@ class Union(NamedTuple):
 
 
 MuSubset = Mu | PrimSet | InternalProduct | Difference | Union
-
-
-def enumerate(ms: MuSubset) -> list[RootOfUnity]:
-    """All elements of the set, canonical and duplicate-free, sorted."""
-    return sorted(_enum_set(ms))
 
 
 def _enum_set(ms: MuSubset) -> set[RootOfUnity]:

@@ -5,8 +5,8 @@ powers q = p^k: the fields F_q are the concrete backends on which every
 formula-layer result can be checked against the brute-force oracle.  The
 concrete references for the square-class and Artin-Schreier embeddings are
 realized here, in the oracle's F_(q^2), next to the references that only
-tests use: exponent classes as fractions, signed squarefree kernels and the
-characteristic-2 orbit relation.
+tests use: the elements of a root-of-unity set, exponent classes as fractions,
+signed squarefree kernels and the characteristic-2 orbit relation.
 """
 
 from fractions import Fraction
@@ -25,6 +25,7 @@ from cyclokit import (
     numtheory,
     quadcyclo,
     radical_generator,
+    roots,
 )
 from cyclokit.oracle import build_field, embed_root, evaluate_sum
 
@@ -156,6 +157,12 @@ def absolute_trace_bit(field, n):
         trace = trace + a ** (2**i)
     assert trace in (E.zero, E.one), "absolute trace outside the prime field"
     return int(trace == E.one)
+
+
+def enumerate_subset(ms):
+    """All elements of the root-of-unity set ``ms``, canonical and
+    duplicate-free, sorted: the reference the set algebra is checked on."""
+    return sorted(roots._enum_set(ms))
 
 
 def as_fraction(z):

@@ -42,11 +42,11 @@ from cyclokit import (
     yogh,
 )
 from cyclokit.oracle import brute_min_poly, build_field, evaluate_sum
-from cyclokit.roots import enumerate as enumerate_subset
 
 from conftest import (
     absolute_trace_bit,
     divisors,
+    enumerate_subset,
     euler_is_residue,
     odd_prime_powers,
     parts_product,

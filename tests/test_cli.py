@@ -697,6 +697,56 @@ def test_every_cross_check_row_reports_its_mismatch(
     assert json.loads(result.stdout)["mismatches"] == expected
 
 
+def test_records_made_before_a_refusal_stay_in_order(runner, monkeypatch,
+                                                    cold_formula_caches):
+    # Testing the minus sum for the plus sum makes min_poly refuse n = 8 and 24
+    # over F_7 (see above); the forced order and the kappa route's verdict
+    # disagree first, so each refusal ends a run of records of its n.
+    cos_sum = quadcyclo_mod.cos_sum_in_field
+    monkeypatch.setattr(quadcyclo_mod, "cos_sum_in_field",
+                        lambda field, n, sign: cos_sum(field, n, Sign.MINUS))
+    force_rows(monkeypatch, {"order": 8})
+    result = runner.invoke(main, ["verify", "--field", "q:7"])
+    assert (result.exit_code, result.stderr) == (1, "")
+    refusal = {"check": "precondition", "detail": (
+        "2-power component of order 4 is incompatible with a quadratic extension")}
+    assert json.loads(result.stdout)["mismatches"] == [
+        {"n": 8, "check": "order", "formula": 5, "oracle": 4},
+        equaliser_record(8),
+        {"n": 8, **refusal},
+        {"n": 16, "check": "yogh_frobenius", "formula": 15, "oracle": 7},
+        {"n": 16, "check": "min_poly_concrete", "formula": [[0, 1], [1, 0]],
+         "oracle": [[4, 0], [6, 0]]},
+        equaliser_record(24),
+        {"n": 24, **refusal},
+        {"n": 48, "check": "yogh_frobenius", "formula": 31, "oracle": 7},
+        {"n": 48, "check": "min_poly_concrete", "formula": [[0, 2], [2, 0]],
+         "oracle": [[4, 0], [5, 0]]},
+    ]
+
+
+@pytest.mark.parametrize("keys, failing", [
+    ({"formula": 0, "oracle": 1}, True),
+    ({"detail": "always fails"}, True),
+    ({"formula": 1, "oracle": 1}, False),
+])
+def test_one_row_gives_one_record(runner, monkeypatch, keys, failing):
+    # One more row of n = 24 from the producer adds exactly its own record,
+    # after the other rows of 24, when it fails, and none when it agrees.
+    real = cli_mod._rows
+
+    def with_extra_row(field, realize, n):
+        yield from real(field, realize, n)
+        if n == 24:
+            yield "extra", keys
+
+    monkeypatch.setattr(cli_mod, "_rows", with_extra_row)
+    result = runner.invoke(main, VERIFY_23)
+    expected = [{"n": 24, "check": "extra", **keys}] if failing else []
+    assert (result.exit_code, json.loads(result.stdout)["mismatches"]) == (
+        int(failing), expected)
+
+
 def test_the_oracle_side_of_each_row_is_computed_once_per_n(runner, monkeypatch):
     orders = count_calls(monkeypatch, oracle_mod, "brute_order")
     polys = count_calls(monkeypatch, oracle_mod, "brute_min_poly")

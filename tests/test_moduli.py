@@ -50,11 +50,11 @@ from cyclokit.oracle import (
     build_field,
     evaluate_sum_rational,
 )
-from cyclokit.roots import enumerate as enumerate_subset
 
 from conftest import (
     absolute_trace_bit,
     divisors,
+    enumerate_subset,
     euler_is_residue,
     field_elements,
     inseparable_orbit_related,

@@ -20,6 +20,10 @@ NamedTuple fields are exempt: they are the value itself.  Members are matched
 by name alone, without their owner, since the type of ``x`` in ``x.name`` is
 not known from the source: a read of any ``.order`` keeps every public member
 called ``order``.
+
+One more rule keeps ``__all__`` complete: in a submodule that has one, every
+public module-level ``def`` or ``class`` is listed there.  Assignments, such
+as ``moduli``'s ``KIND_*`` constants, are outside this rule.
 """
 
 import ast
@@ -49,15 +53,33 @@ KEPT_MEMBERS = {
 }
 
 
-def public_names() -> set[str]:
-    """``module.name`` for every entry of every submodule's ``__all__``."""
-    names = set()
+def submodule_alls() -> dict[str, list[str]]:
+    """The ``__all__`` of every submodule that has one, by module name."""
+    alls = {}
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, ast.Assign) and path.stem != "__init__"
                     and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
-                names |= {f"{path.stem}.{name}" for name in ast.literal_eval(node.value)}
-    return names
+                alls[path.stem] = ast.literal_eval(node.value)
+    return alls
+
+
+def public_names() -> set[str]:
+    """``module.name`` for every entry of every submodule's ``__all__``."""
+    return {f"{module}.{name}" for module, names in submodule_alls().items()
+            for name in names}
+
+
+def unlisted_definitions() -> set[str]:
+    """``module.name`` for every public module-level function or class of a
+    submodule that its ``__all__`` does not list."""
+    missing = set()
+    for module, names in submodule_alls().items():
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in names):
+                missing.add(f"{module}.{node.name}")
+    return missing
 
 
 def _owner(module: str | None, level: int) -> str | None:
@@ -168,6 +190,10 @@ def test_every_public_name_is_used_or_kept_for_a_claim():
 
 def test_every_kept_name_is_public_and_otherwise_unused():
     assert sorted(KEPT.keys() - unused()) == []
+
+
+def test_every_public_definition_is_listed_in_its_modules_all():
+    assert sorted(unlisted_definitions()) == []
 
 
 def test_every_public_member_is_read_or_kept_for_a_claim():

@@ -29,9 +29,9 @@ from cyclokit import (
     power,
     render_root,
 )
-from cyclokit.roots import _sign_rep, enumerate as enumerate_subset
+from cyclokit.roots import _sign_rep
 
-from conftest import as_fraction, parts_product
+from conftest import as_fraction, enumerate_subset, parts_product
 
 
 roots_strategy = st.builds(
