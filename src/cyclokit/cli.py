@@ -139,7 +139,7 @@ def _as_json(value):
     """A formula-layer value as JSON data: a set expression by its
     description, a root or formal sum by its text, any other value type as
     the object of its fields (their names are the report keys), a tuple as a
-    list.  Set expressions and roots are NamedTuples too, so they go first."""
+    list.  Set expressions and roots are value types too, so they go first."""
     if isinstance(value, MuSubset):
         return describe(value)
     if isinstance(value, (RootSum, RootOfUnity)):

@@ -26,8 +26,8 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
+from ._value import Value
 from .errors import PreconditionError, SizeBoundError
 from .numtheory import eps, factorize, is_prime
 from .roots import RootOfUnity
@@ -68,12 +68,7 @@ class Sign(enum.Enum):
     MINUS = "minus"
 
 
-class _Profile(NamedTuple):
-    p: int = 0
-    k: int = 0
-
-
-class FieldProfile(_Profile):
+class FieldProfile(Value, slots=False):
     """Profile of a supported base field: the rationals or F_(p^k).
 
     For the rationals, ``p == k == 0``; for finite fields, ``p`` is the
@@ -86,6 +81,9 @@ class FieldProfile(_Profile):
     inversion.  No attribute can be set.
     """
 
+    p: int
+    k: int
+
     def __new__(cls, p: int = 0, k: int = 0) -> "FieldProfile":
         self = tuple.__new__(cls, (p, k))
         if p:
@@ -94,8 +92,6 @@ class FieldProfile(_Profile):
         else:
             vars(self).update(roots_of_unity=2, quadratic_extensions=((4, 3), (6, 5)))
         return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it too
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FieldProfile is immutable: cannot set {name!r}")

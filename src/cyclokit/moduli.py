@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, prod
-from typing import NamedTuple
 
+from ._value import Value
 from .errors import PreconditionError
 from .field_profile import FieldProfile, contains_root, order_of_zeta, prime_basis
 from .numtheory import eps, factorize
@@ -69,7 +69,7 @@ KIND_GLOBAL = "Global"
 KIND_ORDER_TWO = "OrderTwo"
 
 
-class ModuliClass(NamedTuple):
+class ModuliClass(Value):
     """One isomorphism class of quadratic cyclotomic extensions.
 
     ``primes`` is the prime set attached to the class, ``representative_n``
@@ -82,7 +82,7 @@ class ModuliClass(NamedTuple):
     minpoly: str
 
 
-class ModuliDescription(NamedTuple):
+class ModuliDescription(Value):
     """A moduli space of roots of unity generating quadratic extensions.
 
     ``presentation`` is a set expression whose elements are exactly the
@@ -202,7 +202,7 @@ def s_n(field: FieldProfile, n: int) -> frozenset[int]:
     return frozenset(primes.union(p for p, _ in factorize(m)))
 
 
-class SMaxClass(NamedTuple):
+class SMaxClass(Value):
     """One class of the prime-set partition of quadratic cyclotomic extensions.
 
     ``presentation`` is the difference mu_M - mu_MF whose elements are the
@@ -216,7 +216,7 @@ class SMaxClass(NamedTuple):
     cardinality: int
 
 
-class SMaxPartition(NamedTuple):
+class SMaxPartition(Value):
     """The maximal prime sets, each with its moduli presentation."""
 
     classes: tuple[SMaxClass, ...]
@@ -284,7 +284,7 @@ def full_moduli(field: FieldProfile) -> ModuliDescription:
     return ModuliDescription(KIND_GLOBAL, presentation, cardinality, classes)
 
 
-class RationalSquareClass(NamedTuple):
+class RationalSquareClass(Value):
     """A square class of the rationals, named by its squarefree kernel."""
 
     d: int
@@ -294,7 +294,7 @@ class RationalSquareClass(NamedTuple):
         return self.d == 1
 
 
-class FiniteSquareClass(NamedTuple):
+class FiniteSquareClass(Value):
     """A square class of F_q (odd q), named by its residue bit."""
 
     is_residue: bool
@@ -304,7 +304,7 @@ class FiniteSquareClass(NamedTuple):
         return self.is_residue
 
 
-class ArtinSchreierClass(NamedTuple):
+class ArtinSchreierClass(Value):
     """An Artin-Schreier class of F_(2^k), named by its absolute-trace bit;
     the class is nontrivial exactly when the trace bit is 1."""
 

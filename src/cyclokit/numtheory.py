@@ -27,9 +27,10 @@ a value already reduced into ``[0, modulus)``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
-from typing import NamedTuple
 
+from ._value import Value
 from .errors import SizeBoundError
 
 __all__ = [
@@ -76,7 +77,7 @@ def _sieve(limit: int) -> bytearray:
 #: Primality flags below 8000, read by :func:`is_prime`.
 _SIEVE = _sieve(8000)
 #: The trial divisors of :func:`factorize`: the 1,007 primes below 8000.
-_SMALL_PRIMES = tuple(p for p, flag in enumerate(_SIEVE) if flag)
+_SMALL_PRIMES = (2, *compress(range(3, 8000, 2), _SIEVE[3::2]))
 
 
 @lru_cache(maxsize=1)
@@ -86,30 +87,20 @@ def _table_blocks() -> tuple[int, ...]:
     return tuple(prod(_SMALL_PRIMES[i : i + 256]) for i in range(0, len(_SMALL_PRIMES), 256))
 
 
-class _Residue(NamedTuple):
-    value: int
-    modulus: int
-
-
-class ResidueClass(_Residue):
+class ResidueClass(Value):
     """A residue ``value`` modulo ``modulus``, normalized to ``[0, modulus)``."""
 
-    __slots__ = ()
+    value: int
+    modulus: int
+    _arithmetic_hint = "residue classes combine by .value arithmetic or crt(), not + or *"
 
     def __new__(cls, value: int, modulus: int) -> "ResidueClass":
         if modulus < 1:
             raise ValueError(f"modulus must be positive, got {modulus}")
         return tuple.__new__(cls, (value % modulus, modulus))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it too
-
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
-
-    def __mul__(self, other):  # as a tuple, k * 2 and k + k would concatenate
-        raise TypeError("residue classes combine by .value arithmetic or crt(), not + or *")
-
-    __rmul__ = __add__ = __radd__ = __mul__
 
 
 def is_prime(n: int) -> bool:

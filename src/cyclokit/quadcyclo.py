@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
+from ._value import Value
 from .errors import PreconditionError
 from .field_profile import (
     ExtendedNat,
@@ -175,7 +175,7 @@ def yogh(field: FieldProfile, n: int) -> ResidueClass:
     return min_poly(field, n).yogh
 
 
-class TraceShape(NamedTuple):
+class TraceShape(Value):
     """Structured display form of a quadratic trace: u * (v +- 1/v).
 
     ``unit_index`` and ``cos_index`` are the orders of the unit factor
@@ -203,7 +203,7 @@ class TraceShape(NamedTuple):
         return f"{unit}({v} {op} {v}^-1)"
 
 
-class QuadMinPoly(NamedTuple):
+class QuadMinPoly(Value):
     """The quadratic minimal polynomial x^2 - trace x + norm of the n-th root.
 
     ``trace_coeff`` is the formal sum z + z^yogh and ``norm_coeff`` the formal
@@ -271,7 +271,7 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     return QuadMinPoly(n, tag, k, trace, RootSum.of(norm), shape)
 
 
-class RadicalGenerator(NamedTuple):
+class RadicalGenerator(Value):
     """A radical generator of the quadratic extension (characteristic != 2).
 
     The element ``expression`` = z - z^yogh has trace zero, so its
@@ -295,7 +295,7 @@ def radical_generator(field: FieldProfile, n: int) -> RadicalGenerator:
     return RadicalGenerator(expression, square)
 
 
-class ArtinSchreierGenerator(NamedTuple):
+class ArtinSchreierGenerator(Value):
     """An Artin-Schreier generator of the quadratic extension (char 2).
 
     The element y = numerator / denominator = z / (z + z^yogh) satisfies
@@ -360,7 +360,7 @@ def nu_plus(field: FieldProfile, p: int) -> int:
     return nu(field, p) - (p == 2 and has_property_C2(field) is not None)
 
 
-class KappaClass(NamedTuple):
+class KappaClass(Value):
     """The kappa classification datum of a root of unity.
 
     ``branch`` records which of the three representative shapes applies,

@@ -20,17 +20,19 @@ The module also provides:
   differences, and unions, each with a membership test.
 * The textual form ``z(n,j)``, in which the CLI prints roots.
 
-Values here and in the other formula modules are :class:`typing.NamedTuple`
-classes, so each is the tuple of its fields: it supports ``len`` and
-iteration, orders and hashes as that tuple, and compares equal to any tuple of
-the same fields, even a value of another type.  Every dispatch on values is by
-``isinstance``, and no code compares values of different types.
+Values here and in the other formula modules are built on one tuple base,
+``_value.Value``, so each is the tuple of its fields: it supports ``len`` and
+iteration, orders and hashes as that tuple, refuses + and *, and compares
+equal to any tuple of the same fields, even a value of another type.  Every
+dispatch on values is by ``isinstance``, and no code compares values of
+different types.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+
+from ._value import Value
 
 __all__ = [
     "Difference",
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 
-class RootOfUnity(NamedTuple):
+class RootOfUnity(Value):
     """The root of unity with reduced exponent class numerator/denominator.
 
     Instances must be created through :func:`canonical` (or the arithmetic
@@ -61,14 +63,10 @@ class RootOfUnity(NamedTuple):
 
     denominator: int
     numerator: int
+    _arithmetic_hint = "roots of unity compose by multiply() and power(), not + or *"
 
     def __str__(self) -> str:
         return render_root(self)
-
-    def __mul__(self, other):  # as a tuple, z * 2 and z + z would concatenate
-        raise TypeError("roots of unity compose by multiply() and power(), not + or *")
-
-    __rmul__ = __add__ = __radd__ = __mul__
 
 
 #: Builds a root from a pair already reduced, past the generated __new__.
@@ -226,32 +224,32 @@ class RootSum:
 # ---------------------------------------------------------------------------
 
 
-class Mu(NamedTuple):
+class Mu(Value):
     """The full group of n-th roots of unity (all orders dividing n)."""
 
     n: int
 
 
-class PrimSet(NamedTuple):
+class PrimSet(Value):
     """The primitive n-th roots of unity (exactly order n)."""
 
     n: int
 
 
-class InternalProduct(NamedTuple):
+class InternalProduct(Value):
     """The set of pointwise products, one factor from each operand set."""
 
     factors: tuple["MuSubset", ...]
 
 
-class Difference(NamedTuple):
+class Difference(Value):
     """Set difference left - right."""
 
     left: "MuSubset"
     right: "MuSubset"
 
 
-class Union(NamedTuple):
+class Union(Value):
     """Set union of the operands."""
 
     parts: tuple["MuSubset", ...]

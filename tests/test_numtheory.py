@@ -160,6 +160,13 @@ def test_factorize_primes_strictly_increasing():
         assert ps == sorted(set(ps))
 
 
+def test_the_trial_divisors_are_the_primes_below_8000():
+    # factorize walks this table; trial division decides each entry here.
+    primes = [n for n in range(2, 8000) if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert numtheory._SMALL_PRIMES == tuple(primes)
+    assert len(primes) == 1007 and primes[-1] == 7993
+
+
 def _sieve(limit):
     flags = [True] * limit
     flags[0] = flags[1] = False

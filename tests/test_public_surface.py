@@ -15,11 +15,12 @@ spelled like a function, read as ``desc.cardinality``, does not count.
 The same holds one level down.  Every method, property, classmethod or class
 attribute defined in the body of a public class, unless its name starts with
 an underscore, must be read as ``.name`` somewhere in those sources outside
-its own definition, or be listed in ``KEPT_MEMBERS`` with its claim.
-NamedTuple fields are exempt: they are the value itself.  Members are matched
-by name alone, without their owner, since the type of ``x`` in ``x.name`` is
-not known from the source: a read of any ``.order`` keeps every public member
-called ``order``.
+its own definition, or be listed in ``KEPT_MEMBERS`` with its claim.  The
+fields of a value type, the names annotated in the body of a class built on
+the package's tuple base ``Value``, are exempt: they are the value itself.
+Members are matched by name alone, without their owner, since the type of
+``x`` in ``x.name`` is not known from the source: a read of any ``.order``
+keeps every public member called ``order``.
 
 One more rule keeps ``__all__`` complete: in a submodule that has one, every
 public module-level ``def`` or ``class`` is listed there.  Assignments, such
@@ -145,13 +146,13 @@ def public_members() -> dict[str, tuple[str, ...]]:
         for cls in ast.parse(path.read_text()).body:
             if not (isinstance(cls, ast.ClassDef) and f"{path.stem}.{cls.name}" in public):
                 continue
-            named_tuple = any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)
+            value_type = any(getattr(base, "id", None) == "Value" for base in cls.bases)
             for node in cls.body:
                 if isinstance(node, ast.FunctionDef):
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
                     names = [getattr(target, "id", "_") for target in node.targets]
-                elif isinstance(node, ast.AnnAssign) and not named_tuple:
+                elif isinstance(node, ast.AnnAssign) and not value_type:
                     names = [getattr(node.target, "id", "_")]
                 else:
                     names = []

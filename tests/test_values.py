@@ -3,14 +3,22 @@
 Each value type is pinned by the exact ``repr`` of a sample, by a hash equal
 to the hash of the tuple of its fields, and by refusing attribute
 assignment.  Normalisation, ordering and the rational-field default are
-checked separately, and every annotation in the package must resolve.
+checked separately, and every annotation in the package must resolve.  The
+tuple base they share refuses + and *, gives no instance a ``__dict__`` but a
+field profile's, and keeps ``typing`` out of the package.
 """
 
+import ast
+import copy
 import importlib
 import importlib.util
 import inspect
 import json
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -18,6 +26,7 @@ import pytest
 
 import cyclokit
 
+from cyclokit._value import Value
 from cyclokit.field_profile import RATIONAL, ExtendedNat, FieldProfile, ell, finite_field
 from cyclokit.moduli import (
     ArtinSchreierClass,
@@ -127,6 +136,62 @@ def test_value_repr_hash_and_immutability(value, text, fields, name):
 def test_make_and_replace_rebuild_through_the_constructor(value, text, fields, name):
     assert type(value)._make(tuple(value)) == value
     assert value._replace(**{name: getattr(value, name)}) == value
+
+
+@pytest.mark.parametrize("value, text, fields, name", CASES,
+                         ids=[type(case[0]).__name__ for case in CASES])
+def test_values_rebuild_by_keyword_by_copy_and_by_pickle(value, text, fields, name):
+    assert type(value)(**value._asdict()) == value
+    assert type(value).__match_args__ == tuple(value._asdict())
+    for rebuilt in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(rebuilt) is type(value) and tuple(rebuilt) == fields
+    with pytest.raises(ValueError, match="unexpected field names"):
+        value._replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("expression", [
+    lambda v: v + v, lambda v: v * 2, lambda v: 2 * v, lambda v: (1,) + v, lambda v: v + (1,),
+], ids=["value_plus_value", "value_times_int", "int_times_value", "tuple_plus_value",
+        "value_plus_tuple"])
+@pytest.mark.parametrize("value", [case[0] for case in CASES],
+                         ids=[type(case[0]).__name__ for case in CASES])
+def test_tuple_arithmetic_on_every_value_type_raises(value, expression):
+    # A value is a tuple, so these would concatenate or repeat it silently.
+    with pytest.raises(TypeError, match=r"\+ or \*"):
+        expression(value)
+
+
+def test_no_value_type_but_the_field_profile_gives_instances_a_dict():
+    # A value type whose class lacks __slots__ = () gets a __dict__ silently.
+    assert {type(case[0]) for case in CASES} == set(Value.__subclasses__())
+    with_dict = [type(case[0]).__name__ for case in CASES if hasattr(case[0], "__dict__")]
+    assert with_dict == ["FieldProfile"]
+
+
+def test_no_module_of_the_package_imports_typing_or_namedtuple():
+    # Building classes through typing.NamedTuple or collections.namedtuple
+    # costs every process milliseconds at import.
+    package = Path(cyclokit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{path.stem}: {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "typing"]
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.stem}: {node.module}.{a.name}" for a in node.names
+                          if node.module == "typing" or a.name == "namedtuple"]
+    assert found == []
+
+
+def test_importing_the_cli_leaves_typing_unloaded():
+    code = "import sys, cyclokit.cli\nprint('typing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cyclokit.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_residue_class_replace_normalises_and_refuses_bad_moduli():
