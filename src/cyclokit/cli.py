@@ -21,8 +21,9 @@ it, when they run: ``classify`` and ``moduli`` never load it.
 exact integer over the rationals, an element of the oracle's F_(q^2) within
 its field bound, nothing above it).
 
-Each command returns a :class:`Report`; :func:`main` prints it and holds the
-one mapping from failures to exit codes: 0 success, 1 verification
+:func:`main` reads the command line against ``_COMMANDS``, the one table of
+commands and their options, runs the command and prints its :class:`Report`;
+it holds the one mapping from failures to exit codes: 0 success, 1 verification
 mismatches, 2 usage errors (also a bad field spec or CYCLOKIT_MAX_Q found
 after parsing), 3 unmet mathematical preconditions, 4 size bounds exceeded.
 The environment variable CYCLOKIT_MAX_Q (default 1024) caps the field size
@@ -38,7 +39,6 @@ even the one at interpreter exit; :func:`main` leaves the collector alone.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -354,52 +354,92 @@ def classify(field_spec: str) -> Report:
     return Report("classify", render_field(field), results)
 
 
-def _int_at_least(low: int):
-    """The argparse ``type=`` of an integer option whose values start at ``low``."""
+#: Each command's function and options: flag -> (dest, least integer or None
+#: for the field spec, required).  Usage, help and usage errors come from it.
+_FIELD = {"--field": ("field_spec", None, True)}
+_COMMANDS = {
+    "analyze": (analyze, {**_FIELD, "--n": ("n", 1, True)}),
+    "moduli": (moduli_command, {**_FIELD, "--prime": ("prime", 2, False)}),
+    "verify": (verify, {**_FIELD, "--max-n": ("max_n", 1, False)}),
+    "classify": (classify, _FIELD),
+}
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
-        return value
 
-    return parse
+def _exit(prog: str, command: str | None, error: str | None = None) -> None:
+    """Print the usage line of ``prog`` or of its command, then ``error`` in
+    argparse's wording and exit 2, or with no error the help and exit 0."""
+    label, rows = prog, [f"{name:10}{run.__doc__}" for name, (run, _) in _COMMANDS.items()]
+    if command is not None:
+        label, rows = f"{prog} {command}", []
+        for flag, (_, _, required) in _COMMANDS[command][1].items():
+            option = f"{flag} {flag[2:].upper().replace('-', '_')}"
+            rows.append(option if required else f"[{option}]")
+    usage = f"usage: {label} [-h] " + (" ".join(rows) if command else "COMMAND ...")
+    if error is not None:
+        print(f"{usage}\n{label}: error: {error}", file=sys.stderr)
+        sys.exit(2)
+    print(usage, "", *(f"  {row}" for row in rows), sep="\n")
+    sys.exit(0)
+
+
+def _is_option(token: str) -> bool:
+    """Whether argparse reads ``token`` as an option, not a value: it starts
+    with '-' and is not '-' alone, a negative number or text with a space."""
+    whole, _, frac = token[1:].rpartition(".")
+    number = frac.isdecimal() and (whole.isdecimal() or not whole)
+    return token[:1] == "-" and token != "-" and " " not in token and not number
+
+
+def _parse(args: list[str], prog: str) -> tuple[str, dict]:
+    """The command that ``args`` names and its keyword options; ``-h`` or
+    ``--help`` prints the help of the command before it, or of ``prog``.
+    Errors come in argparse's order: a bad value, in token order, then a
+    missing command or required option, then unknown tokens (top level)."""
+    command, options, values, extras, tokens = None, {}, {}, [], iter(args)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            _exit(prog, command)
+        elif token == "--":  # the rest are values, and no command takes one
+            extras += [token, *tokens]
+        elif command is None and not _is_option(token):
+            if token not in _COMMANDS:
+                _exit(prog, None, f"argument COMMAND: invalid choice: {token!r} (choose from "
+                                  f"{', '.join(map(repr, _COMMANDS))})")
+            command, (_, options) = token, _COMMANDS[token]
+            values = dict.fromkeys(dest for dest, _, _ in options.values())
+        elif flag not in options:
+            extras.append(token)
+        else:
+            dest, least, _ = options[flag]
+            if not eq and _is_option(value := next(tokens, "--")):  # none left reads as an option
+                _exit(prog, command, f"argument {flag}: expected one argument")
+            try:
+                if least is not None and (value := int(text := value)) < least:
+                    raise ValueError
+            except ValueError:
+                _exit(prog, command, f"argument {flag}: {text!r} is not an integer >= {least}")
+            values[dest] = value
+    if command is None:
+        _exit(prog, None, "the following arguments are required: COMMAND")
+    missing = [flag for flag, (dest, _, required) in options.items()
+               if required and values[dest] is None]
+    if missing:
+        _exit(prog, command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _exit(prog, None, f"unrecognized arguments: {' '.join(extras)}")
+    return command, values
 
 
 def main(args: list[str] | None = None, prog_name: str = "cyclokit") -> None:
     """Parses ``args`` (default: ``sys.argv[1:]``), runs one command and
     prints its JSON report; returns on success, and every failure raises
     SystemExit with its code.  Never freezes the heap: see :func:`run`."""
-    parser = argparse.ArgumentParser(prog=prog_name, description=(
-        "Quadratic cyclotomic extensions: classification, moduli, verification."))
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
-
-    def command(name, run, field_help="Base field: 'Q', 'q:<p>', or 'q:<p>^<k>'."):
-        sub = commands.add_parser(name, help=run.__doc__, allow_abbrev=False)
-        sub.add_argument("--field", dest="field_spec", required=True,
-                         metavar="FIELD", help=field_help)
-        sub.set_defaults(run=run, parser=sub)
-        return sub
-
-    command("analyze", analyze).add_argument(
-        "--n", required=True, type=_int_at_least(1),
-        help="Order of the root of unity to analyze.")
-    command("moduli", moduli_command).add_argument(
-        "--prime", type=_int_at_least(2), help="Restrict to p-power roots of unity.")
-    command("verify", verify, "Finite base field: 'q:<p>' or 'q:<p>^<k>'.").add_argument(
-        "--max-n", type=_int_at_least(1),
-        help="Check orders up to this bound (default: q^2 - 1).")
-    command("classify", classify)
-
-    options = vars(parser.parse_args(args))
-    run, sub = options.pop("run"), options.pop("parser")
+    command, options = _parse(sys.argv[1:] if args is None else args, prog_name)
     try:
-        report = run(**options)
+        report = _COMMANDS[command][0](**options)
     except _UsageError as exc:
-        sub.error(str(exc))
+        _exit(prog_name, command, str(exc))
     except (SizeBoundError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(4 if isinstance(exc, SizeBoundError) else 3)

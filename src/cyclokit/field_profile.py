@@ -97,9 +97,8 @@ class FieldProfile(Value, slots=False):
         raise AttributeError(f"FieldProfile is immutable: cannot set {name!r}")
 
     def __getattr__(self, name: str) -> object:  # only the rational field lacks q
-        if name == "q":
-            raise ValueError("the rational field has no finite size q")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        raise AttributeError("the rational field has no finite size q" if name == "q" else
+                             f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def is_rational(self) -> bool:

@@ -17,7 +17,8 @@ The module also provides:
   characteristic is coprime to the orders involved.
 * Finite set expressions over roots of unity (:data:`MuSubset`): full groups
   ``Mu(n)``, primitive layers ``PrimSet(n)``, internal (pointwise) products,
-  differences, and unions, each with a membership test.
+  differences, and unions, each with a membership test, :func:`contains`, that
+  ``in`` runs too; ``len`` stays the tuple's, the number of fields.
 * The textual form ``z(n,j)``, in which the CLI prints roots.
 
 Values here and in the other formula modules are built on one tuple base,
@@ -283,7 +284,9 @@ def _enum_set(ms: MuSubset) -> set[RootOfUnity]:
 
 
 def contains(ms: MuSubset, z: RootOfUnity) -> bool:
-    """Membership test for a set expression."""
+    """Membership test for a set expression; ``z in ms`` runs it too."""
+    if not isinstance(z, RootOfUnity):
+        raise TypeError(f"not a root of unity: {z!r}")
     if isinstance(ms, Mu):
         return ms.n % z.denominator == 0
     if isinstance(ms, PrimSet):
@@ -295,6 +298,10 @@ def contains(ms: MuSubset, z: RootOfUnity) -> bool:
     if isinstance(ms, InternalProduct):
         return z in _enum_set(ms)
     raise TypeError(f"not a root-of-unity set expression: {ms!r}")
+
+
+Mu.__contains__ = PrimSet.__contains__ = InternalProduct.__contains__ = contains
+Difference.__contains__ = Union.__contains__ = contains
 
 
 def describe(ms: MuSubset) -> str:

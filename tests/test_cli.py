@@ -408,11 +408,94 @@ def test_usage_errors_exit_two(runner, args):
     assert "Traceback" not in result.stderr
 
 
+TOP_USAGE = "usage: cyclokit [-h] COMMAND ...\ncyclokit: error: "
+ANALYZE_USAGE = "usage: cyclokit analyze [-h] --field FIELD --n N\ncyclokit analyze: error: "
+MODULI_USAGE = ("usage: cyclokit moduli [-h] --field FIELD [--prime PRIME]\n"
+                "cyclokit moduli: error: ")
+VERIFY_USAGE = ("usage: cyclokit verify [-h] --field FIELD [--max-n MAX_N]\n"
+                "cyclokit verify: error: ")
+CLASSIFY_USAGE = "usage: cyclokit classify [-h] --field FIELD\ncyclokit classify: error: "
+
+
+@pytest.mark.parametrize(
+    "args, stderr",
+    [
+        ([], TOP_USAGE + "the following arguments are required: COMMAND"),
+        (["bogus"], TOP_USAGE + "argument COMMAND: invalid choice: 'bogus' "
+                                "(choose from 'analyze', 'moduli', 'verify', 'classify')"),
+        (["analyze", "--field", "q:5"],
+         ANALYZE_USAGE + "the following arguments are required: --n"),
+        (["analyze", "--field", "q:5", "--n", "0"],
+         ANALYZE_USAGE + "argument --n: '0' is not an integer >= 1"),
+        (["analyze", "--field", "q:5", "--n", "abc"],
+         ANALYZE_USAGE + "argument --n: 'abc' is not an integer >= 1"),
+        (["moduli", "--field", "q:5", "--prime", "1"],
+         MODULI_USAGE + "argument --prime: '1' is not an integer >= 2"),
+        (["verify", "--field", "q:5", "--max-n", "0"],
+         VERIFY_USAGE + "argument --max-n: '0' is not an integer >= 1"),
+        # Extra tokens are reported by the top level, after the command's checks.
+        (["classify", "--field", "Q", "extra"], TOP_USAGE + "unrecognized arguments: extra"),
+        (["classify", "--field", "Q", "--bogus", "3"],
+         TOP_USAGE + "unrecognized arguments: --bogus 3"),
+        (["classify", "--field", "Q", "--", "x"], TOP_USAGE + "unrecognized arguments: -- x"),
+        (["classify", "--", "--field", "Q", "-h"],
+         CLASSIFY_USAGE + "the following arguments are required: --field"),
+        (["--field", "Q", "classify"], TOP_USAGE + "argument COMMAND: invalid choice: 'Q' "
+                                                   "(choose from 'analyze', 'moduli', "
+                                                   "'verify', 'classify')"),
+        # A missing required option is reported before an unknown token.
+        (["analyze", "--fie", "q:5", "--n", "3"],
+         ANALYZE_USAGE + "the following arguments are required: --field"),
+        # A token that looks like an option is not taken as a value ...
+        (["analyze", "--field"], ANALYZE_USAGE + "argument --field: expected one argument"),
+        (["classify", "--field", "--n"],
+         CLASSIFY_USAGE + "argument --field: expected one argument"),
+        (["moduli", "--field", "Q", "--prime"],
+         MODULI_USAGE + "argument --prime: expected one argument"),
+        (["classify", "--field", "-Q"], CLASSIFY_USAGE + "argument --field: expected one argument"),
+        # ... but a negative number is, and errors come in the order of the tokens.
+        (["analyze", "--n", "-3", "--field", "Q"],
+         ANALYZE_USAGE + "argument --n: '-3' is not an integer >= 1"),
+        (["analyze", "--field", "Q", "--n", "-1.5"],
+         ANALYZE_USAGE + "argument --n: '-1.5' is not an integer >= 1"),
+        (["analyze", "--n", "0", "--field"],
+         ANALYZE_USAGE + "argument --n: '0' is not an integer >= 1"),
+        (["analyze", "--n=", "--field", "Q"],
+         ANALYZE_USAGE + "argument --n: '' is not an integer >= 1"),
+    ],
+)
+def test_usage_errors_print_the_usage_line_and_argparse_wording(runner, args, stderr):
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr + "\n")
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["classify", "--field=Q"], "Q"),
+        (["classify", "--field", "Q", "--field", "q:5"], "q:5"),  # the last one wins
+        (["analyze", "--n=3", "--field=q:7"], "q:7"),
+    ],
+)
+def test_option_forms_and_repeats(runner, args, field):
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["field"] == field
+
+
 def test_help_exits_zero(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == 0
     for command in ("analyze", "moduli", "verify", "classify"):
         assert command in result.stdout
+    options = {"analyze": ["--field", "--n"], "moduli": ["--field", "--prime"],
+               "verify": ["--field", "--max-n"], "classify": ["--field"]}
+    for command, flags in options.items():
+        for args in ([command, "-h"], [command, "--field", "Q", "--help"]):
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stderr) == (0, "")
+            assert result.stdout.startswith(f"usage: cyclokit {command} [-h]")
+            assert all(flag in result.stdout for flag in flags)
 
 
 def test_import_loads_only_the_standard_library():
@@ -982,11 +1065,13 @@ def test_process_entry_prints_and_exits_as_main(runner, monkeypatch, tmp_path, e
 
 #: Modules that ``import cyclokit.cli`` must not load, since each costs every
 #: CLI process start-up time: ``dataclasses`` and the introspection modules it
-#: pulls in; the oracle, which only ``analyze`` and ``verify`` use; and
-#: ``fractions`` with the ``decimal`` module it pulls in.
+#: pulls in; the oracle, which only ``analyze`` and ``verify`` use;
+#: ``fractions`` with the ``decimal`` module it pulls in; and ``argparse``
+#: with the ``gettext`` and ``locale`` modules it loads.
 HEAVY_STARTUP_MODULES = (
     "dataclasses", "inspect", "ast", "dis", "tokenize",
     "cyclokit.oracle", "fractions", "decimal",
+    "argparse", "gettext", "locale",
 )
 
 
@@ -1015,11 +1100,13 @@ def test_cli_import_loads_no_heavy_modules(tmp_path):
         (["classify", "--field", "q:101"], "cyclokit.oracle"),
         (["moduli", "--field", "Q"], "cyclokit.oracle"),
         (["analyze", "--field", "Q", "--n", "3"], "fractions"),
+        (["classify", "--field", "q:101"], "argparse"),
     ],
 )
 def test_cli_command_runs_without_loading_what_it_does_not_use(tmp_path, args, unused):
     # classify and moduli are symbolic, so they never load the oracle; over Q
-    # the oracle computes with ints, so analyze never loads fractions.
+    # the oracle computes with ints, so analyze never loads fractions; parsing
+    # the command line loads no argparse.
     package_root = Path(cyclokit.__file__).resolve().parents[1]
     probe = (
         "import sys\n"

@@ -103,7 +103,7 @@ def test_profile_sizes_are_computed_once_and_kept():
         assert all(a is b for a, b in zip(again, first))
     assert first == (81, 80, ((6560, 81),))
     assert _CountingInt.powers == 1  # p^k, once for all three sizes
-    with pytest.raises(ValueError, match="no finite size"):
+    with pytest.raises(AttributeError, match="no finite size"):
         Q.q
 
 
@@ -117,8 +117,18 @@ def test_profiles_rebuilt_by_the_tuple_protocols_keep_their_sizes():
             25, 24, ((624, 25),))
     rational = Q._replace()
     assert (rational.roots_of_unity, rational.quadratic_extensions) == (2, ((4, 3), (6, 5)))
-    with pytest.raises(ValueError, match="no finite size"):
+    with pytest.raises(AttributeError, match="no finite size"):
         rational.q
+
+
+def test_attribute_probes_answer_on_the_rational_profile():
+    # Only the rational field lacks q; a probe reads that as a missing attribute.
+    assert not hasattr(Q, "q") and getattr(Q, "q", None) is None
+    assert hasattr(F5, "q") and getattr(F5, "q", None) == 5
+    with pytest.raises(AttributeError, match="the rational field has no finite size q"):
+        Q.q
+    with pytest.raises(AttributeError, match="'FieldProfile' object has no attribute 'r'"):
+        F5.r
 
 
 @pytest.mark.parametrize("name", ["p", "k", "q", "roots_of_unity", "quadratic_extensions",

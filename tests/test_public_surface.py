@@ -42,7 +42,6 @@ KEPT = {
     "moduli.chi_rad": "the embedding into square classes, acceptance criterion 8",
     "moduli.chi_as": "the embedding into Artin-Schreier classes, acceptance criterion 8",
     "oracle.brute_moduli": "the scan of K* that the moduli exponents nu and ell are checked on",
-    "roots.contains": "membership in a moduli presentation, a route of acceptance criterion 5",
 }
 
 

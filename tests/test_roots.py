@@ -236,19 +236,33 @@ def test_cardinality_matches_enumeration():
         assert len(set(elems)) == len(elems)
 
 
+SET_EXPRESSIONS = [
+    Mu(12),
+    PrimSet(8),
+    Difference(Mu(24), Mu(4)),
+    InternalProduct((PrimSet(4), Mu(3))),
+    Union((PrimSet(3), PrimSet(4), PrimSet(6))),
+]
+
+
 def test_contains_agrees_with_enumeration():
-    subsets = [
-        Mu(12),
-        PrimSet(8),
-        Difference(Mu(24), Mu(4)),
-        InternalProduct((PrimSet(4), Mu(3))),
-        Union((PrimSet(3), PrimSet(4), PrimSet(6))),
-    ]
     universe = list(enumerate_subset(Mu(24)))
-    for ms in subsets:
+    for ms in SET_EXPRESSIONS:
         member = set(enumerate_subset(ms))
         for z in universe:
-            assert contains(ms, z) == (z in member)
+            assert contains(ms, z) == (z in ms) == (z in member)
+
+
+@pytest.mark.parametrize("ms", SET_EXPRESSIONS, ids=lambda ms: type(ms).__name__)
+def test_in_is_the_membership_test_and_refuses_non_roots(ms):
+    # ``in`` tests roots, not the tuple of fields; ``len`` is still the tuple's.
+    assert canonical(3, 1) in Union((PrimSet(3),)) and canonical(4, 1) in Mu(4)
+    assert len(ms) == len(ms._fields)
+    for operand in (12, 8, Mu(4), (1, 12), "z(4,1)", None):
+        with pytest.raises(TypeError, match="not a root of unity"):
+            operand in ms
+        with pytest.raises(TypeError, match="not a root of unity"):
+            contains(ms, operand)
 
 
 def test_internal_product_enumerates_pairwise_products():
