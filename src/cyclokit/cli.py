@@ -22,10 +22,14 @@ exact integer over the rationals, an element of the oracle's F_(q^2) within
 its field bound, nothing above it).
 
 :func:`main` reads the command line against ``_COMMANDS``, the one table of
-commands and their options, runs the command and prints its :class:`Report`;
-it holds the one mapping from failures to exit codes: 0 success, 1 verification
-mismatches, 2 usage errors (also a bad field spec or CYCLOKIT_MAX_Q found
-after parsing), 3 unmet mathematical preconditions, 4 size bounds exceeded.
+commands and their options, and turns ``--field`` into a :class:`FieldProfile`.
+Each command is a function ``(field, options) -> (results, mismatches)``,
+whose ``mismatches`` is None when the oracle did not check the field;
+:func:`main` prints the envelope ``{"command", "field", "results",
+"oracle_checked", "mismatches"}`` of every report.  It holds the one mapping
+from failures to exit codes: 0 success, 1 verification mismatches, 2 usage
+errors (also a bad field spec or CYCLOKIT_MAX_Q found after parsing), 3 unmet
+mathematical preconditions, 4 size bounds exceeded.
 The environment variable CYCLOKIT_MAX_Q (default 1024) caps the field size
 for which the brute-force oracle is consulted.  ``analyze`` and ``verify``
 read it once, at their start, whatever the field: a value that is not a
@@ -66,26 +70,6 @@ DEFAULT_MAX_Q = 1024
 
 class _UsageError(Exception):
     """A bad argument found after parsing; :func:`main` exits 2 with it."""
-
-
-class Report:
-    """One command's JSON-serializable result envelope; :func:`main` prints
-    its attributes in the order they are set here."""
-
-    def __init__(self, command: str, field: str, results: dict,
-                 oracle_checked: bool = False, mismatches: list | None = None):
-        self.command, self.field, self.results = command, field, results
-        self.oracle_checked = oracle_checked
-        self.mismatches = [] if mismatches is None else mismatches
-
-
-def _parse_field_arg(spec: str) -> FieldProfile:
-    try:
-        return parse_field(spec)
-    except SizeBoundError:
-        raise
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _oracle_refusal(field: FieldProfile) -> str | None:
@@ -244,9 +228,8 @@ def _generator_json(
     return doc
 
 
-def analyze(field_spec: str, n: int) -> Report:
+def analyze(field: FieldProfile, n: int) -> tuple[dict, list | None]:
     """Classification data of the n-th root of unity over the field."""
-    field = _parse_field_arg(field_spec)
     refusal = _oracle_refusal(field)
     degree = quadcyclo.bounded_degree(field, n)  # n is factored only above 2
     if degree > 2:
@@ -259,7 +242,7 @@ def analyze(field_spec: str, n: int) -> Report:
         "n_F": n_F(field, n),
         "order_of_zeta": order_of_zeta(field, n),
     }
-    report = Report("analyze", render_field(field), results)
+    mismatches = None
     if degree == 2:
         poly = quadcyclo.min_poly(field, n)
         results["t_nF"] = quadcyclo.t_nF(field, n)
@@ -274,10 +257,9 @@ def analyze(field_spec: str, n: int) -> Report:
         values = (None, None)
         if realize is not None:
             values = (realize(poly.trace_coeff), realize(poly.norm_coeff))
-            report.oracle_checked = refusal is None
-            if report.oracle_checked:
+            if refusal is None:
                 truth, rows = _compare_min_poly(field, poly, values)
-                report.mismatches = _mismatches(n, rows)
+                mismatches = _mismatches(n, rows)
             if not field.is_rational:
                 doc["trace_concrete"], doc["norm_concrete"] = map(_value_json, values)
         results["min_poly_rendered"] = poly.render()
@@ -287,12 +269,11 @@ def analyze(field_spec: str, n: int) -> Report:
         results["kappa"] = _as_json(quadcyclo.kappa_class(field, canonical(n, 1)))
         if field.is_rational:
             results["integer_min_poly"] = _render_int_poly(*truth)
-    return report
+    return results, mismatches
 
 
-def moduli_command(field_spec: str, prime: int | None) -> Report:
+def moduli_command(field: FieldProfile, prime: int | None) -> tuple[dict, None]:
     """Moduli of quadratic cyclotomic extensions (global or per-prime)."""
-    field = _parse_field_arg(field_spec)
     if prime is not None and not is_prime(prime):
         raise _UsageError(f"--prime must be prime, got {prime}")
     if prime is not None:
@@ -310,13 +291,12 @@ def moduli_command(field_spec: str, prime: int | None) -> Report:
             "s_max": _s_max_json(moduli_mod.s_max(field)),
             "order_two": _as_json(moduli_mod.g2(field)),
         }
-    return Report("moduli", render_field(field), results)
+    return results, None
 
 
-def verify(field_spec: str, max_n: int | None) -> Report:
+def verify(field: FieldProfile, max_n: int | None) -> tuple[dict, list]:
     """Compare every formula against the brute-force oracle."""
     from . import oracle
-    field = _parse_field_arg(field_spec)
     if field.is_rational:
         raise PreconditionError("verify requires a finite field")
     refusal = _oracle_refusal(field)
@@ -330,13 +310,11 @@ def verify(field_spec: str, max_n: int | None) -> Report:
     divisors = [n for n in _divisors(field) if n <= bound]
     mismatches = [record for n in divisors
                   for record in _mismatches(n, _rows(field, realize, n))]
-    results = {"max_n": bound, "orders_checked": len(divisors)}
-    return Report("verify", render_field(field), results, True, mismatches)
+    return {"max_n": bound, "orders_checked": len(divisors)}, mismatches
 
 
-def classify(field_spec: str) -> Report:
+def classify(field: FieldProfile) -> tuple[dict, None]:
     """Prime-set partition and quadratic-extension embedding data."""
-    field = _parse_field_arg(field_spec)
     partition = moduli_mod.s_max(field)
     primes = sorted({p for cls in partition.classes for p in cls.primes})
     results: dict = {
@@ -351,12 +329,12 @@ def classify(field_spec: str) -> Report:
         results["q"] = field.q
     if field.characteristic != 2:
         results["c2"] = quadcyclo.has_property_C2(field)
-    return Report("classify", render_field(field), results)
+    return results, None
 
 
 #: Each command's function and options: flag -> (dest, least integer or None
 #: for the field spec, required).  Usage, help and usage errors come from it.
-_FIELD = {"--field": ("field_spec", None, True)}
+_FIELD = {"--field": ("field", None, True)}
 _COMMANDS = {
     "analyze": (analyze, {**_FIELD, "--n": ("n", 1, True)}),
     "moduli": (moduli_command, {**_FIELD, "--prime": ("prime", 2, False)}),
@@ -437,14 +415,22 @@ def main(args: list[str] | None = None, prog_name: str = "cyclokit") -> None:
     SystemExit with its code.  Never freezes the heap: see :func:`run`."""
     command, options = _parse(sys.argv[1:] if args is None else args, prog_name)
     try:
-        report = _COMMANDS[command][0](**options)
+        try:
+            field = parse_field(options.pop("field"))
+        except SizeBoundError:
+            raise
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+        results, mismatches = _COMMANDS[command][0](field, **options)
     except _UsageError as exc:
         _exit(prog_name, command, str(exc))
     except (SizeBoundError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(4 if isinstance(exc, SizeBoundError) else 3)
-    print(json.dumps(vars(report), indent=2))
-    if report.mismatches:
+    print(json.dumps({"command": command, "field": render_field(field), "results": results,
+                      "oracle_checked": mismatches is not None,
+                      "mismatches": mismatches or []}, indent=2))
+    if mismatches:
         sys.exit(1)
 
 

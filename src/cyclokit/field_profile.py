@@ -148,19 +148,19 @@ def finite_field(p: int, k: int = 1) -> FieldProfile:
 
 
 def parse_field(spec: str) -> FieldProfile:
-    """Parse the field grammar 'Q' | 'q:<p>' | 'q:<p>^<k>'."""
+    """Parse the field grammar 'Q' | 'q:<p>' | 'q:<p>^<k>', p and k ASCII digits."""
     text = spec.strip()
     if text == "Q":
         return RATIONAL
-    if text.startswith("q:"):
-        body = text[2:]
-        base, sep, exp = body.partition("^")
+    base, sep, exp = text[2:].partition("^")
+    parts = (base, exp) if sep else (base,)
+    # int() alone would also take signs, spaces, underscores and non-ASCII digits.
+    if text.startswith("q:") and all(s.isascii() and s.isdigit() for s in parts):
         try:
-            p = int(base)
-            k = int(exp) if sep else 1
-        except ValueError as exc:
+            p, *k = map(int, parts)
+        except ValueError as exc:  # more digits than int() converts
             raise ValueError(f"cannot parse field spec: {spec!r}") from exc
-        return finite_field(p, k)
+        return finite_field(p, *k)
     raise ValueError(f"cannot parse field spec: {spec!r}")
 
 

@@ -894,6 +894,19 @@ def test_analyze_reads_the_oracle_gate_on_every_field(runner, args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, code, stderr", [
+    (["analyze", "--field", "q:abc", "--n", "3"], 2,
+     "usage: cyclokit analyze [-h] --field FIELD --n N\n"
+     "cyclokit analyze: error: cannot parse field spec: 'q:abc'\n"),
+    (["verify", "--field", "q:2^65536"], 4,
+     "error: field size 2^65536 exceeds the bound of 65536 bits\n"),
+], ids=["analyze", "verify"])
+def test_the_field_is_parsed_before_the_oracle_gate_is_read(runner, args, code, stderr):
+    # A malformed CYCLOKIT_MAX_Q is never reached when the field spec fails.
+    result = runner.invoke(main, args, env={"CYCLOKIT_MAX_Q": "abc"})
+    assert (result.exit_code, result.stderr, result.stdout) == (code, stderr, "")
+
+
 @pytest.mark.parametrize("command", ["classify", "moduli"])
 def test_symbolic_commands_ignore_the_oracle_gate(runner, command):
     invoke_json(runner, [command, "--field", "q:23"], env={"CYCLOKIT_MAX_Q": "abc"})

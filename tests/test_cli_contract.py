@@ -4,7 +4,9 @@ with every command and option, run in process through ``cli.main``.
 For every input the command must give an answer or a documented exit code
 within a time bound: 0 with a JSON report, 1 only with a JSON report whose
 ``mismatches`` list is not empty, 2 for usage errors, 3 for unmet
-preconditions, 4 for size bounds; and no traceback may reach stderr.
+preconditions, 4 for size bounds; and no traceback may reach stderr.  Every
+report has the keys of ``ENVELOPE`` in order, names the command that ran, and
+lists mismatches only when the oracle checked the field.
 """
 
 import json
@@ -32,7 +34,7 @@ def _prime_near(low):
 
 #: Q, small and large primes, prime powers up to and past the bound of
 #: 65,536 bits on k * bit_length(p), non-prime characteristics and
-#: malformed specs.
+#: malformed specs, among them numbers that int() takes but the grammar does not.
 FIELDS = [
     "Q", "q:2", "q:3", "q:5", "q:23",
     f"q:{_prime_near(_rng.randrange(30, 100))}",
@@ -41,6 +43,7 @@ FIELDS = [
     "q:4294967291", "q:9223372036854775783", "q:18446744073709551557",
     "q:2^5", "q:3^4", "q:2^32768", "q:3^32768", "q:2^32769", "q:7^99999999",
     "q:0", "q:1", "q:6", "q:4^2", "q:-7", "q:5^0", "q:2^-1", "q:", "q:abc", "F5", "",
+    "q:1_9", "q: 5", "q:+5", "q:\u0665", "q:5^ 2",
 ]
 
 #: Every command with each of its options, on values that answer, refuse or
@@ -55,6 +58,9 @@ COMMANDS = [
     ["verify", "--max-n", "12"],
     ["verify", "--max-n", "0"],
 ]
+
+#: The keys of every JSON report, in order.
+ENVELOPE = ["command", "field", "results", "oracle_checked", "mismatches"]
 
 #: verify and analyze consult the brute-force oracle only up to
 #: CYCLOKIT_MAX_Q (default 1024); the corpus keeps the full verify runs to
@@ -92,6 +98,7 @@ def test_every_command_answers_or_exits_with_a_documented_code(capsys, monkeypat
         else:
             monkeypatch.setenv("CYCLOKIT_MAX_Q", gate)
         code, out, err, elapsed = _run(capsys, args)
+        command = args[0]
         args = args if gate is None else [f"CYCLOKIT_MAX_Q={gate}", *args]
         if code not in (0, 1, 2, 3, 4):
             broken.append((args, f"exit {code!r}"))
@@ -107,4 +114,10 @@ def test_every_command_answers_or_exits_with_a_documented_code(capsys, monkeypat
                 continue
             if code == 1 and not report.get("mismatches"):
                 broken.append((args, "exit 1 without mismatches"))
+            if list(report) != ENVELOPE:
+                broken.append((args, f"envelope keys {list(report)}"))
+            if report.get("command") != command:
+                broken.append((args, f"command {report.get('command')!r}"))
+            if not report.get("oracle_checked") and report.get("mismatches"):
+                broken.append((args, "mismatches without an oracle check"))
     assert broken == []

@@ -66,7 +66,8 @@ def test_finite_field_refuses_huge_sizes_before_computing_them():
 
 
 def test_parse_field_rejects_garbage():
-    for bad in ("F5", "q:", "q:4^2", "q:5^0", ""):
+    for bad in ("F5", "q:", "q:4^2", "q:5^0", "", "q:1_9", "q: 5", "q:+5", "q:\u0665",
+                "q:5^ 2"):
         with pytest.raises(ValueError):
             parse_field(bad)
 
