@@ -148,14 +148,14 @@ def finite_field(p: int, k: int = 1) -> FieldProfile:
 
 
 def parse_field(spec: str) -> FieldProfile:
-    """Parse the field grammar 'Q' | 'q:<p>' | 'q:<p>^<k>', p and k ASCII digits."""
-    text = spec.strip()
-    if text == "Q":
+    """Parse the field grammar 'Q' | 'q:<p>' | 'q:<p>^<k>', p and k ASCII digits, no leading 0."""
+    if spec == "Q":
         return RATIONAL
-    base, sep, exp = text[2:].partition("^")
+    base, sep, exp = spec[2:].partition("^")
     parts = (base, exp) if sep else (base,)
-    # int() alone would also take signs, spaces, underscores and non-ASCII digits.
-    if text.startswith("q:") and all(s.isascii() and s.isdigit() for s in parts):
+    # int() alone would also take signs, spaces, underscores, non-ASCII digits and leading zeros.
+    if spec.startswith("q:") and all(
+            s.isascii() and s.isdigit() and (s[0] != "0" or s == "0") for s in parts):
         try:
             p, *k = map(int, parts)
         except ValueError as exc:  # more digits than int() converts

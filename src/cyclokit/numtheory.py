@@ -6,13 +6,12 @@ primality, p-adic valuations, Euler's totient, multiplicative orders and the
 Chinese remainder theorem.  All functions are pure and operate on plain
 integers.
 
-The trial stage of :func:`factorize` walks the primes below 8000 for n below
-2^20; above, gcds with their products, in four blocks, find the table primes
-of n.  The cofactor left over is prime when it is below the square of the
-largest table prime; otherwise :func:`is_prime` decides it, and Brent's rho
-with batched gcds splits it when composite.  Over ``F_q`` the moduli layer and
-the CLI factor ``q - 1`` and ``q + 1`` apart, never ``q^2 - 1``
-(``field_profile.prime_basis``); results are memoised.  :func:`is_prime`
+The trial stage of :func:`factorize` walks the primes below 8000, up to the
+square root of what is left.  The cofactor left over is prime when it is
+below the square of the largest table prime; otherwise :func:`is_prime`
+decides it, and Brent's rho with batched gcds splits it when composite.  Over
+``F_q`` the moduli layer and the CLI factor ``q - 1`` and ``q + 1`` apart,
+never ``q^2 - 1`` (``field_profile.prime_basis``).  :func:`is_prime`
 reads a sieve below 8000 and above runs Miller-Rabin on the first j prime
 bases, for the least j with n below psi_j, the least strong pseudoprime to
 them (OEIS A014233; G. Jaeschke, Math. Comp. 61 (1993) 915-926; Y. Jiang and
@@ -26,9 +25,8 @@ a value already reduced into ``[0, modulus)``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from ._value import Value
 from .errors import SizeBoundError
@@ -46,9 +44,6 @@ __all__ = [
 
 #: Largest integer :func:`factorize` accepts (64-bit signed range).
 MAX_FACTOR_INPUT = 2**63 - 1
-
-#: Distinct inputs whose factorizations :func:`factorize` keeps.
-_FACTORIZE_CACHE_SIZE = 4096
 
 #: Steps of Brent's rho between two gcds.
 _RHO_BATCH = 128
@@ -78,13 +73,6 @@ def _sieve(limit: int) -> bytearray:
 _SIEVE = _sieve(8000)
 #: The trial divisors of :func:`factorize`: the 1,007 primes below 8000.
 _SMALL_PRIMES = (2, *compress(range(3, 8000, 2), _SIEVE[3::2]))
-
-
-@lru_cache(maxsize=1)
-def _table_blocks() -> tuple[int, ...]:
-    """The products of :data:`_SMALL_PRIMES` in blocks of 256, under 3,400 bits
-    each: half the cost of one product, and built on first use, not at import."""
-    return tuple(prod(_SMALL_PRIMES[i : i + 256]) for i in range(0, len(_SMALL_PRIMES), 256))
 
 
 class ResidueClass(Value):
@@ -177,8 +165,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Pairs are sorted by ascending prime; ``factorize(1) == []``.  Inputs
     below 1 raise ValueError, inputs above :data:`MAX_FACTOR_INPUT` raise
-    :class:`SizeBoundError`.  Results are memoised; each call returns a fresh
-    list.
+    :class:`SizeBoundError`.  Each call returns a fresh list.
     """
     if n < 1:
         raise ValueError(f"factorize input out of range: {n}")
@@ -187,27 +174,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
             f"factorize input out of range: {n.bit_length()} bits,"
             f" above {MAX_FACTOR_INPUT}"
         )
-    return list(_factorize(n))
+    return _factorize(n)
 
 
-@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """The factorization of a validated n, immutable because the memo shares it."""
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """The factorization of a validated n."""
     factors: dict[int, int] = {}
     rest = n
-    primes: tuple[int, ...] | list[int] = _SMALL_PRIMES
-    if n >= 1 << 20:  # below, walking the table is cheaper than the gcd
-        # g multiplies n's table primes; a walk to sqrt(g) leaves at most one in g.
-        g, primes = prod([gcd(n, b) for b in _table_blocks()]), []
-        for p in _SMALL_PRIMES:
-            if p * p > g:
-                break
-            if g % p == 0:
-                primes.append(p)
-                g //= p
-        if g > 1:
-            primes.append(g)
-    for p in primes:
+    for p in _SMALL_PRIMES:
         if p * p > rest:
             break
         while rest % p == 0:
@@ -224,7 +198,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
         else:
             d = _brent_rho(m)
             stack += (d, m // d)
-    return tuple(sorted(factors.items()))
+    return sorted(factors.items())
 
 
 def eps(n: int, p: int) -> int:

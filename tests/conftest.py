@@ -34,11 +34,10 @@ from cyclokit.oracle import build_field, embed_root, evaluate_sum
 def rho_calls(monkeypatch):
     """The inputs of every Brent rho call, recorded from cold memos.
 
-    The factorization memo is cleared first, and so are the memos above it
-    (the per-field prime basis and the quadratic root data), so a split that
-    an earlier test already paid for is paid again here.
+    The memos above factorization (the per-field prime basis and the
+    quadratic root data) are cleared first, so a split that an earlier test
+    already paid for is paid again here.
     """
-    numtheory._factorize.cache_clear()
     field_profile.prime_basis.cache_clear()
     quadcyclo.min_poly.cache_clear()
     calls = []
@@ -49,6 +48,21 @@ def rho_calls(monkeypatch):
         return rho(n)
 
     monkeypatch.setattr(numtheory, "_brent_rho", counting_rho)
+    return calls
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The inputs of every factorization, recorded where ``factorize`` reaches
+    the trial walk, past its input checks."""
+    calls = []
+    inner = numtheory._factorize
+
+    def recording(n):
+        calls.append(n)
+        return inner(n)
+
+    monkeypatch.setattr(numtheory, "_factorize", recording)
     return calls
 
 

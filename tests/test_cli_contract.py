@@ -44,6 +44,7 @@ FIELDS = [
     "q:2^5", "q:3^4", "q:2^32768", "q:3^32768", "q:2^32769", "q:7^99999999",
     "q:0", "q:1", "q:6", "q:4^2", "q:-7", "q:5^0", "q:2^-1", "q:", "q:abc", "F5", "",
     "q:1_9", "q: 5", "q:+5", "q:\u0665", "q:5^ 2",
+    "q:007", "q:5^02", " q:7 ", "Q ",
 ]
 
 #: Every command with each of its options, on values that answer, refuse or

@@ -12,15 +12,18 @@ plus commands that exit 2 and 3, and exit code 4 from ``verify`` over
 that must not change the CLI's output keeps this test passing unedited.  When
 the output changes on purpose, regenerate the file with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review its diff.
+
+``PYTHONPATH=src python tests/test_cli_golden.py --check`` replays the matrix
+without pytest, so it runs on any interpreter with nothing installed: it
+prints each case that differs and exits 1 if any does, 0 if all match.
 """
 
 import contextlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
-
-import pytest
 
 from cyclokit.cli import main
 
@@ -84,7 +87,12 @@ def test_golden_file_covers_the_matrix():
     assert {case["exit_code"] for case in _golden().values()} == {0, 2, 3, 4}
 
 
-@pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
+def pytest_generate_tests(metafunc):
+    # The hook, not a pytest.mark decorator, so that --check imports no pytest.
+    if "args" in metafunc.fixturenames:
+        metafunc.parametrize("args", COMMANDS, ids=" ".join)
+
+
 def test_cli_output_matches_golden(args, monkeypatch):
     monkeypatch.delenv("CYCLOKIT_MAX_Q", raising=False)
     assert replay(args) == _golden()[" ".join(args)]
@@ -92,4 +100,17 @@ def test_cli_output_matches_golden(args, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("CYCLOKIT_MAX_Q", None)
+    if sys.argv[1:] == ["--check"]:
+        golden = _golden()
+        differing = 0
+        for args in COMMANDS:
+            got, want = replay(args), golden.get(" ".join(args))
+            if got != want:
+                differing += 1
+                print(f"differs: {' '.join(args)}\n  golden: {json.dumps(want)}\n"
+                      f"  now:    {json.dumps(got)}")
+        print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} cases match")
+        sys.exit(1 if differing else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/test_cli_golden.py [--check]")
     GOLDEN.write_text(json.dumps([replay(args) for args in COMMANDS], indent=1) + "\n")

@@ -67,7 +67,7 @@ def test_finite_field_refuses_huge_sizes_before_computing_them():
 
 def test_parse_field_rejects_garbage():
     for bad in ("F5", "q:", "q:4^2", "q:5^0", "", "q:1_9", "q: 5", "q:+5", "q:\u0665",
-                "q:5^ 2"):
+                "q:5^ 2", "q:007", "q:5^02", "q:00", " q:7 ", "q:7\n", "Q ", " Q"):
         with pytest.raises(ValueError):
             parse_field(bad)
 
