@@ -68,6 +68,10 @@ class Sign(enum.Enum):
     MINUS = "minus"
 
 
+#: The members as module globals: a global read is cheaper than Sign.PLUS.
+_PLUS, _MINUS = Sign.PLUS, Sign.MINUS
+
+
 class FieldProfile(Value, slots=False):
     """Profile of a supported base field: the rationals or F_(p^k).
 
@@ -220,12 +224,15 @@ def cos_sum_in_field(field: FieldProfile, n: int, sign: Sign) -> bool:
     conjugation z -> z^c fixes the sum: c = 1 mod n, or c = -1 (PLUS) or
     n/2 - 1 (MINUS) mod n, sending z to 1/z or -1/z.  The MINUS form is only
     supported for even n or n <= 2 (for larger odd n the two sums live in
-    different quadratic twists and no closed form is offered).
+    different quadratic twists and no closed form is offered).  A ``sign``
+    that is not a :class:`Sign` member raises TypeError.
     """
+    if sign is not _PLUS and sign is not _MINUS:
+        raise TypeError(f"sign must be Sign.PLUS or Sign.MINUS, got {sign!r}")
     _check_coprime_to_char(field, n)
-    if sign is Sign.MINUS and n > 2 and n % 2 == 1:
+    if sign is _MINUS and n > 2 and n % 2 == 1:
         raise PreconditionError(f"minus sum unsupported for odd order {n} > 2")
-    swap = (n - 1) % n if sign is Sign.PLUS else (n // 2 - 1) % n
+    swap = (n - 1) % n if sign is _PLUS else (n // 2 - 1) % n
     for big, c in field.quadratic_extensions:
         if big % n == 0 and c % n in (1 % n, swap):
             return True

@@ -197,9 +197,12 @@ def s_n(field: FieldProfile, n: int) -> frozenset[int]:
     """The primes of the n-th root's order in K*/F*, read off :func:`prime_basis`."""
     m = order_of_zeta(field, n)
     primes = {p for factors in prime_basis(field) for p, _, _ in factors if m % p == 0}
-    while (g := gcd(m, prod(primes))) > 1:
+    basis = prod(primes)
+    while (g := gcd(m, basis)) > 1:
         m //= g
-    return frozenset(primes.union(p for p, _ in factorize(m)))
+    if m > 1:  # a part of m outside the basis: over Q, or past degree 2
+        primes.update(p for p, _ in factorize(m))
+    return frozenset(primes)
 
 
 class SMaxClass(Value):

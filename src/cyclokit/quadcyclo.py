@@ -42,15 +42,16 @@ from math import gcd
 from ._value import Value
 from .errors import PreconditionError
 from .field_profile import (
+    _MINUS,
+    _PLUS,
     ExtendedNat,
     FieldProfile,
-    Sign,
     _check_coprime_to_char,
     _check_prime_for,
     cos_sum_in_field,
 )
 from .numtheory import ResidueClass, crt, eps
-from .roots import RootOfUnity, RootSum, canonical, identity, multiply, power
+from .roots import RootOfUnity, RootSum, _reduce, canonical, identity, multiply
 
 __all__ = [
     "BRANCH_MINUS",
@@ -157,9 +158,9 @@ def _two_part_exponent(field: FieldProfile, m: int, o2: int) -> int:
     if o2 == 2:
         return 1 + m // 2
     if o2 == m // 2 and o2 > 2:
-        if cos_sum_in_field(field, m, Sign.PLUS):
+        if cos_sum_in_field(field, m, _PLUS):
             return m - 1
-        if cos_sum_in_field(field, m, Sign.MINUS):
+        if cos_sum_in_field(field, m, _MINUS):
             return m // 2 - 1
     raise PreconditionError(
         f"2-power component of order {o2} is incompatible with a quadratic extension"
@@ -249,8 +250,8 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
              (_two_part_exponent(field, two, o2), two)])
     if gcd(k.value, n) != 1:  # pragma: no cover - sanity
         raise ArithmeticError("conjugation exponent not a unit")
-    z = canonical(n, 1)
-    norm = power(z, k.value + 1)
+    z = _reduce(n, 1)
+    norm = _reduce(n, k.value + 1)
     if field.roots_of_unity % norm.denominator:
         raise ArithmeticError("norm of the conjugate pair escaped the base field")
     if o == 2:
@@ -267,7 +268,7 @@ def min_poly(field: FieldProfile, n: int) -> QuadMinPoly:
     if tag != CASE_RADICAL:
         unit_mult, cos_mult, sign = _SHAPES[tag]
         shape = TraceShape(unit_mult * (n // o), cos_mult * o, sign)
-    trace = RootSum.of(z, power(z, k.value))
+    trace = RootSum.of(z, _reduce(n, k.value))
     return QuadMinPoly(n, tag, k, trace, RootSum.of(norm), shape)
 
 
@@ -287,10 +288,9 @@ def radical_generator(field: FieldProfile, n: int) -> RadicalGenerator:
     if field.characteristic == 2:
         raise PreconditionError("radical generators require characteristic != 2")
     k = yogh(field, n).value
-    z = canonical(n, 1)
-    expression = RootSum.from_terms([(1, z), (-1, power(z, k))])
+    expression = RootSum.from_terms([(1, _reduce(n, 1)), (-1, _reduce(n, k))])
     square = RootSum.from_terms(
-        [(1, power(z, 2)), (1, power(z, 2 * k)), (-2, power(z, k + 1))]
+        [(1, _reduce(n, 2)), (1, _reduce(n, 2 * k)), (-2, _reduce(n, k + 1))]
     )
     return RadicalGenerator(expression, square)
 
@@ -311,8 +311,8 @@ def artin_schreier_generator(field: FieldProfile, n: int) -> ArtinSchreierGenera
     if field.characteristic != 2:
         raise PreconditionError("Artin-Schreier generators require characteristic 2")
     k = yogh(field, n).value
-    z = canonical(n, 1)
-    return ArtinSchreierGenerator(z, RootSum.of(z, power(z, k)))
+    z = _reduce(n, 1)
+    return ArtinSchreierGenerator(z, RootSum.of(z, _reduce(n, k)))
 
 
 @lru_cache(maxsize=256)
@@ -400,16 +400,14 @@ def kappa_class(field: FieldProfile, z: RootOfUnity) -> KappaClass:
     """
     _check_coprime_to_char(field, z.denominator)
     _, two, o2, _, t = _components(field, z.denominator)
-    zt = canonical(t, 1)
+    zt, zt_inv = _reduce(t, 1), _reduce(t, -1)
     if o2 == 2:
-        z2 = canonical(two, 1)
-        rep = RootSum.from_terms(
-            [(1, multiply(z2, zt)), (-1, multiply(z2, power(zt, -1)))]
-        )
+        z2 = _reduce(two, 1)
+        rep = RootSum.from_terms([(1, multiply(z2, zt)), (-1, multiply(z2, zt_inv))])
         return KappaClass(BRANCH_TWO_TIMES, rep, _sum_in_field(field, rep))
     c2 = has_property_C2(field)
     if c2 is not None and two == 2**c2:
-        rep = RootSum.from_terms([(1, zt), (-1, power(zt, -1))])
-        return KappaClass(BRANCH_MINUS, rep, cos_sum_in_field(field, t, Sign.MINUS))
-    rep = RootSum.from_terms([(1, zt), (1, power(zt, -1))])
-    return KappaClass(BRANCH_PLUS, rep, cos_sum_in_field(field, t, Sign.PLUS))
+        rep = RootSum.from_terms([(1, zt), (-1, zt_inv)])
+        return KappaClass(BRANCH_MINUS, rep, cos_sum_in_field(field, t, _MINUS))
+    rep = RootSum.from_terms([(1, zt), (1, zt_inv)])
+    return KappaClass(BRANCH_PLUS, rep, cos_sum_in_field(field, t, _PLUS))

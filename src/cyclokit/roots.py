@@ -78,6 +78,11 @@ def canonical(n: int, j: int) -> RootOfUnity:
     """The reduced exponent class of j/n (the j-th power of the n-th root)."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    return _reduce(n, j)
+
+
+def _reduce(n: int, j: int) -> RootOfUnity:
+    """:func:`canonical` past its check, for an order n already known to be >= 1."""
     j %= n
     g = gcd(j, n)
     return _new(RootOfUnity, (n // g, j // g))
@@ -89,15 +94,15 @@ identity = RootOfUnity(1, 0)
 
 def multiply(z1: RootOfUnity, z2: RootOfUnity) -> RootOfUnity:
     """Group law: exponent classes add in Q/Z."""
-    n1, n2 = z1.denominator, z2.denominator
-    g = gcd(n1, n2)
-    lcm = n1 // g * n2
-    return canonical(lcm, z1.numerator * (lcm // n1) + z2.numerator * (lcm // n2))
+    (n1, j1), (n2, j2) = z1, z2
+    lcm = n1 // gcd(n1, n2) * n2
+    return _reduce(lcm, j1 * (lcm // n1) + j2 * (lcm // n2))
 
 
 def power(z: RootOfUnity, k: int) -> RootOfUnity:
     """The k-th power: exponent class scaled by k (k may be negative)."""
-    return canonical(z.denominator, z.numerator * k)
+    n, j = z
+    return _reduce(n, j * k)
 
 
 def render_root(z: RootOfUnity) -> str:
@@ -108,25 +113,6 @@ def render_root(z: RootOfUnity) -> str:
 # ---------------------------------------------------------------------------
 # Formal integer linear combinations of roots of unity
 # ---------------------------------------------------------------------------
-
-
-def _sign_rep(z: RootOfUnity) -> tuple[RootOfUnity, int]:
-    """Canonical representative of {z, -z} and the sign relating z to it.
-
-    -z equals z times the order-2 root, so each such pair is normalized to
-    its lexicographically smaller member (by (order, exponent)); the returned
-    sign is +1 if z itself is the representative, else -1.  For z = j/n, -z
-    is (2j + n)/(2n) for odd n, so z is the smaller; (j + n/2)/2 over n/2 for
-    n = 2 mod 4, the smaller; and (j + n/2)/n for 4 | n, the smaller when
-    j > n/2.  Each is already reduced.
-    """
-    n, j = z
-    if n % 2:
-        return z, 1
-    h = n // 2
-    if h % 2:
-        return _new(RootOfUnity, (h, (j + h) // 2 % h)), -1
-    return (z, 1) if j < h else (_new(RootOfUnity, (n, j - h)), -1)
 
 
 class RootSum:
@@ -146,11 +132,25 @@ class RootSum:
 
     @classmethod
     def from_terms(cls, terms: list[tuple[int, RootOfUnity]]) -> "RootSum":
-        """Build a sum from (coefficient, root) pairs, normalizing signs."""
+        """Build a sum from (coefficient, root) pairs, normalizing signs.
+
+        -z equals z times the order-2 root, so each pair {z, -z} is stored
+        against its lexicographically smaller member (by (order, exponent)),
+        the coefficient negated when that member is -z.  For z = j/n, -z is
+        (2j + n)/(2n) for odd n, so z is the smaller; (j + n/2)/2 over n/2 for
+        n = 2 mod 4, the smaller; and (j + n/2)/n for 4 | n, the smaller when
+        j > n/2.  Each is already reduced.
+        """
         acc: dict[RootOfUnity, int] = {}
         for coeff, root in terms:
-            rep, sign = _sign_rep(root)
-            acc[rep] = acc.get(rep, 0) + sign * coeff
+            n, j = root
+            if not n % 2:
+                h = n // 2
+                if h % 2:
+                    root, coeff = _new(RootOfUnity, (h, (j + h) // 2 % h)), -coeff
+                elif j >= h:
+                    root, coeff = _new(RootOfUnity, (n, j - h)), -coeff
+            acc[root] = acc.get(root, 0) + coeff
         if 0 in acc.values():
             acc = {r: c for r, c in acc.items() if c != 0}
         return cls(acc)

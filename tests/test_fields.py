@@ -6,6 +6,7 @@ oracle on explicit F_{q^2} towers for all prime powers q <= 49.
 """
 
 import copy
+import enum
 import pickle
 from math import gcd
 
@@ -227,6 +228,15 @@ def test_cos_sum_rational_membership_tables():
 def test_cos_sum_minus_rejects_odd_n():
     with pytest.raises(PreconditionError):
         cos_sum_in_field(F23, 5, Sign.MINUS)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus", None, enum.Enum("Foreign", "PLUS MINUS").PLUS])
+def test_cos_sum_refuses_a_sign_that_is_not_a_member_before_other_checks(sign):
+    # Each n would otherwise answer (8), raise PreconditionError (3 for MINUS,
+    # 7 in characteristic 7) or raise ValueError (0).
+    for n in (8, 3, 7, 0):
+        with pytest.raises(TypeError, match="Sign.PLUS or Sign.MINUS"):
+            cos_sum_in_field(finite_field(7), n, sign)
 
 
 # ---------------------------------------------------------------------------

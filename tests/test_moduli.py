@@ -40,6 +40,7 @@ from cyclokit import (
     multiply,
     nu,
     order_of_zeta,
+    parse_field,
     quad_moduli_summary,
     radical_generator,
     s_max,
@@ -295,6 +296,16 @@ def test_s_n_frozen_values():
     assert s_n(F5, 24) == {2, 3}
     assert s_n(Q, 4) == {2}
     assert s_n(F5, 4) == frozenset()
+
+
+@pytest.mark.parametrize("spec", ["Q", "q:2^4", "q:7", "q:5^2", "q:1021"])
+def test_s_n_is_the_prime_set_of_the_order_in_the_quotient(spec):
+    field = parse_field(spec)
+    for n in range(1, 601):
+        if field.p and n % field.p == 0:
+            continue
+        want = frozenset(p for p, _ in factorize(order_of_zeta(field, n)))
+        assert s_n(field, n) == want, n
 
 
 def test_s_max_finite_fields():

@@ -29,7 +29,6 @@ from cyclokit import (
     power,
     render_root,
 )
-from cyclokit.roots import _sign_rep
 
 from conftest import as_fraction, enumerate_subset, parts_product
 
@@ -112,6 +111,16 @@ def test_power_is_iterated_multiplication(z, e):
     for _ in range(abs(e)):
         acc = multiply(acc, step)
     assert power(z, e) == acc
+
+
+@settings(max_examples=300)
+@given(roots_strategy, roots_strategy,
+       st.one_of(st.just(0), st.integers(-400, -1), st.integers(-10**30, 10**30)))
+def test_power_and_multiply_build_the_canonical_root_of_their_class(x, y, k):
+    (n1, j1), (n2, j2) = x, y
+    for got, want in ((power(x, k), canonical(n1, j1 * k)),
+                      (multiply(x, y), canonical(n1 * n2, j1 * n2 + j2 * n1))):
+        assert type(got) is RootOfUnity and got == want
 
 
 @settings(max_examples=300)
@@ -338,7 +347,7 @@ def test_sign_representative_matches_the_group_law_for_orders_to_600():
                 continue
             z = canonical(n, j)
             assert type(z) is RootOfUnity and z == RootOfUnity(n, j % n)
-            rep, sign = _sign_rep(z)
+            [(sign, rep)] = RootSum.from_terms([(1, z)]).terms()
             assert (rep, sign) == _group_law_sign_rep(z), z
             # built directly, yet reduced and of the root type
             assert type(rep) is RootOfUnity and rep == canonical(*rep)
